@@ -25,6 +25,7 @@ from .model import (
     compute_weights,
     empirical_covariance,
     joint_objective,
+    pair_bounds,
 )
 
 __all__ = ["FitResult", "fit", "fit_graph_given_scores"]
@@ -66,7 +67,8 @@ def fit(X, dist: DistanceMatrix | None = None,
 
     Returns
     -------
-    FitResult; ``converged`` is unset if the outer cap was reached.
+    FitResult; ``converged`` is unset if the outer cap was reached or the
+    last graph step stopped at ``glasso_max_iter``.
     """
     if hyper is None:
         raise ConfigError("hyperparameters are required")
@@ -131,7 +133,8 @@ def fit(X, dist: DistanceMatrix | None = None,
         trace.append(obj)
 
         if (obj - obj_prev) / max(1.0, abs(obj_prev)) < hyper.bca_rel_tol:
-            converged = True
+            # A graph step stopped at its sweep cap is not a fixed point.
+            converged = gres.converged
             break
         obj_prev = obj
 
@@ -159,16 +162,9 @@ def fit_graph_given_scores(X, c: CoreScores,
     n = fm.n_nodes
     if len(c) != n:
         raise InputError("core scores length mismatch")
-    if hyper.e > 0 and dist is None:
-        raise ConfigError("distance coupling e > 0 requires distances")
     cv = c.values
     pair = cv[:, None] + cv[None, :]
-    limit = np.full((n, n), 1.0 - hyper.eps_w)
-    if hyper.e > 0:
-        dv = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
-        off = ~np.eye(n, dtype=bool)
-        limit[off] += hyper.e * np.log(dv[off])
-    np.fill_diagonal(limit, np.inf)
+    limit = pair_bounds(n, dist, hyper.e, hyper.eps_w)
     if np.any(pair > limit + 1e-9):
         i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
         raise ConfigError(

@@ -10,24 +10,24 @@ The pairwise bound closes the strict positivity requirement on the
 penalty weights with the same floor ``eps_w`` the weight construction
 uses, so the two subproblems stay consistent.
 
-The O(N^2) pairwise rows are generated lazily: a closed-form greedy
-vertex solves the box-plus-budget relaxation, then violated pairwise
-rows are added and a dense simplex (Bland's rule) re-solves the
-restricted program until no violations remain.  Optimality of the full
-program follows because dropped rows have zero duals.
+The full program, with all N(N-1)/2 pairwise rows in one sparse matrix,
+goes to the HiGHS dual simplex with the gains divided by ``max|g|``, so
+the step does not depend on the units of the data.  A second solve over
+the optimal face breaks ties towards the lowest node index, and the
+returned scores are certified against the first solve's dual bound,
+relative to ``max|g| * M``.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
+from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import CoreScores, DistanceMatrix
+from .model import CoreScores, pair_bounds
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
-
-_FEAS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class LpResult:
     """Vertex-optimal core scores with an optimality certificate.
 
     ``active_constraints`` lists the pairwise rows that are tight at the
-    solution; ``iterations`` counts simplex pivots across all
-    constraint-generation rounds.
+    solution; ``iterations`` counts HiGHS simplex iterations over both
+    solves (optimum and lowest-index tie-break).
     """
 
     c: CoreScores
@@ -45,144 +45,50 @@ class LpResult:
     iterations: int
 
 
-def _pair_bounds(n: int, dist, e: float, eps_w: float) -> np.ndarray:
-    """Upper bounds b_ij on c_i + c_j, as a symmetric matrix."""
-    if e > 0:
-        if dist is None:
-            raise ConfigError("distance coupling e > 0 requires distances")
-        dv = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
-        if dv.shape != (n, n):
-            raise InputError(
-                f"distance matrix shape {dv.shape} does not match {n} nodes"
-            )
-        off = ~np.eye(n, dtype=bool)
-        if dv[off].min() <= 0:
-            raise ConfigError(
-                "distance coupling e > 0 requires strictly positive "
-                "off-diagonal distances"
-            )
-        b = np.full((n, n), 1.0 - eps_w)
-        b[off] += e * np.log(dv[off])
-    else:
-        b = np.full((n, n), 1.0 - eps_w)
-    np.fill_diagonal(b, np.inf)
-    return b
+def _solve(gains, bounds, mass, lp_tol):
+    """Maximize ``gains @ c`` over the full program; returns (c, iterations).
 
-
-def _greedy_fill(gains: np.ndarray, mass: float) -> np.ndarray:
-    """Optimal vertex of the box-plus-budget relaxation.
-
-    Fills coordinates to their upper bound in order of decreasing gain
-    (ties by ascending index), leaving one fractional coordinate.
+    ``mass`` None drops the budget row.  Raises :class:`InfeasibleError`
+    when the polytope is empty and :class:`NumericalError` when the
+    certified relative gap exceeds ``lp_tol``.
     """
     n = gains.shape[0]
-    order = np.argsort(-gains, kind="stable")
-    c = np.zeros(n)
-    remaining = mass
-    for idx in order:
-        take = min(1.0, remaining)
-        c[idx] = take
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return c
-
-
-def _greedy_duals_gap(gains: np.ndarray, c: np.ndarray, mass: float) -> float:
-    """Duality gap of the greedy vertex for the relaxed program."""
-    filled = c >= 1.0 - 1e-12
-    mu = 0.0
-    fractional = (c > 1e-12) & ~filled
-    if fractional.any():
-        mu = float(gains[fractional].max())
-    elif filled.any():
-        # Budget an integer: the marginal price is the best unfilled gain.
-        unfilled = gains[~filled]
-        mu = float(unfilled.max()) if unfilled.size else 0.0
-    upper = np.maximum(0.0, gains - mu)
-    dual = float(upper.sum() + mass * mu)
-    return abs(dual - float(gains @ c))
-
-
-def _solve_rows(gains, rows, bounds, mass, n):
-    """Simplex solve of the restricted program with the given pairwise rows."""
-    n_rows = len(rows)
-    a_ub = np.zeros((n_rows + n, n))
-    b_ub = np.empty(n_rows + n)
-    for k, (i, j) in enumerate(rows):
-        a_ub[k, i] = 1.0
-        a_ub[k, j] = 1.0
-        b_ub[k] = bounds[i, j]
-    a_ub[n_rows:] = np.eye(n)
-    b_ub[n_rows:] = 1.0
+    iu, ju = np.triu_indices(n, k=1)
+    m = iu.size
+    rows = sparse.csr_matrix(
+        (np.ones(2 * m), np.column_stack([iu, ju]).ravel(), np.arange(0, 2 * m + 1, 2)),
+        shape=(m, n),
+    )
+    b_rows = bounds[iu, ju]
     a_eq = None if mass is None else np.ones((1, n))
     b_eq = None if mass is None else np.array([mass])
-    return simplex_solve(-gains, a_ub, b_ub, a_eq, b_eq)
+    scale = float(np.abs(gains).max())
+    g = gains / scale if scale > 0 else np.zeros(n)
 
-
-def _constraint_generation(gains, bounds, mass, n, lp_tol):
-    """Lazy row generation; returns (c, pivots, gap) or raises on infeasibility.
-
-    Starts from the optimum of the box-plus-budget relaxation and
-    repeatedly adds the most-violated pairwise rows (up to a per-round
-    cap) until none are violated; the dropped rows then have zero duals,
-    so the restricted certificate covers the full program.
-    """
-    pivots = 0
-    if mass is None:
-        c = np.ones(n)
-        gap = 0.0
-    else:
-        c = _greedy_fill(gains, mass)
-        gap = _greedy_duals_gap(gains, c, mass)
-    rows: list[tuple[int, int]] = []
-    known = set()
-    iu = np.triu_indices(n, k=1)
-    per_round = max(16, n)
-    while True:
-        viol = c[iu[0]] + c[iu[1]] - bounds[iu]
-        worst = viol.max() if viol.size else -np.inf
-        if worst <= _FEAS_TOL:
-            break
-        # Most violated first; ties in ascending (i, j) order.
-        order = np.lexsort((iu[1], iu[0], -viol))
-        added = 0
-        for k in order:
-            if added >= per_round or viol[k] <= _FEAS_TOL:
-                break
-            pair = (int(iu[0][k]), int(iu[1][k]))
-            if pair not in known:
-                rows.append(pair)
-                known.add(pair)
-                added += 1
-        if added == 0:
-            # Every violated row is already in the program: the excess is
-            # simplex roundoff, not a missing constraint.
-            if worst <= 1e-9:
-                break
-            raise NumericalError(
-                f"constraint generation stalled with violation {worst:.3e}"
-            )
-        res = _solve_rows(gains, rows, bounds, mass, n)
-        pivots += res.pivots
-        if res.status == "infeasible":
-            raise InfeasibleError("restricted program infeasible")
-        if res.status != "optimal":
-            raise NumericalError(f"unexpected LP status {res.status}")
-        c = res.x
-        gap = res.dual_gap
-        if len(rows) > n * (n - 1) // 2:
-            raise NumericalError("constraint generation failed to terminate")
+    first = simplex_solve(-g, rows, b_rows, a_eq, b_eq, bounds=(0.0, 1.0))
+    if first.status != "optimal":  # the box rules out "unbounded"
+        raise InfeasibleError("core-score polytope is empty")
+    # Among the optimal scores, prefer mass on low node indices.
+    face = sparse.vstack([rows, sparse.csr_matrix(-g[None, :])], format="csr")
+    second = simplex_solve(-np.arange(n, 0, -1.0), face,
+                           np.append(b_rows, first.objective), a_eq, b_eq,
+                           bounds=(0.0, 1.0))
+    if second.status != "optimal":
+        raise NumericalError(f"tie-break LP status {second.status}")
+    c = second.x
+    # -objective + dual_gap bounds every feasible g @ c from above, whatever
+    # the sign of the first solve's primal-dual difference.
+    gap = (first.dual_gap - first.objective - g @ c) / (n if mass is None else mass)
     if not gap <= lp_tol:
         raise NumericalError(
-            f"LP duality gap {gap:.3e} above tolerance {lp_tol:.3e}"
+            f"LP relative duality gap {gap:.3e} above tolerance {lp_tol:.3e}"
         )
-    return c, pivots, gap
+    return c, first.pivots + second.pivots
 
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = 1e-3) -> float:
     """Largest feasible total core mass for the pairwise-bounded polytope."""
-    bounds = _pair_bounds(n, dist, e, eps_w)
+    bounds = pair_bounds(n, dist, e, eps_w)
     if np.min(bounds) < 0:
         i, j = np.unravel_index(np.argmin(bounds), bounds.shape)
         raise ConfigError(
@@ -193,8 +99,7 @@ def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = 1e-3) -> flo
         # Uniform bound b: summing c_i + c_j <= b over all pairs gives
         # sum(c) <= n b / 2, attained at c = b/2 (b < 2 always).
         return n * (1.0 - eps_w) / 2.0
-    gains = np.ones(n)
-    c, _, _ = _constraint_generation(gains, bounds, None, n, lp_tol=1e-6)
+    c, _ = _solve(np.ones(n), bounds, None, lp_tol=1e-9)
     return float(c.sum())
 
 
@@ -210,7 +115,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     dist, e : spatial distances and their coupling strength.
     M : total core mass; must lie in (0, N] and within the polytope.
     eps_w : slack closing the strict pairwise inequality.
-    lp_tol : duality-gap certificate tolerance.
+    lp_tol : duality-gap certificate tolerance, relative to ``max|g| * M``.
     include_diagonal : bool
         Whether |T_ii| contributes to the gain of node i (the literal
         double-sum reading).  Zero-diagonal inputs are unaffected.
@@ -235,10 +140,10 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     gains = 2.0 * t.sum(axis=1)
     if not include_diagonal:
         gains -= 2.0 * np.diag(t)
-    bounds = _pair_bounds(n, dist, e, eps_w)
+    bounds = pair_bounds(n, dist, e, eps_w)
 
     try:
-        c, pivots, _ = _constraint_generation(gains, bounds, M, n, lp_tol)
+        c, iterations = _solve(gains, bounds, M, lp_tol)
     except InfeasibleError:
         cap = max_core_mass(n, dist, e, eps_w)
         raise InfeasibleError(
@@ -256,7 +161,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
         c=scores,
         objective=float(gains @ scores.values),
         active_constraints=active,
-        iterations=pivots,
+        iterations=iterations,
     )
 
 

@@ -22,4 +22,4 @@ class NotPositiveDefiniteError(CoreglassoError):
 
 
 class NumericalError(CoreglassoError):
-    """A solver lost its numerical invariants (PD, pivot bounds)."""
+    """A solver lost its numerical invariants or failed its certificate."""

@@ -22,6 +22,7 @@ __all__ = [
     "Precision",
     "Hyperparams",
     "empirical_covariance",
+    "pair_bounds",
     "compute_weights",
     "joint_objective",
 ]
@@ -178,7 +179,8 @@ class Hyperparams:
     M : core-mass budget; None resolves to N/8 at fit time.
     eps_w : strict-positivity floor for penalty weights.
     glasso_tol : KKT max-norm tolerance of the graph subproblem.
-    lp_tol : duality-gap tolerance of the core-score subproblem.
+    lp_tol : duality-gap tolerance of the core-score subproblem, relative
+        to ``max|g| * M`` (largest gain times the core budget).
     bca_rel_tol : relative objective-increase threshold of the outer loop.
     bca_max_iter : outer iteration cap.
     glasso_max_iter : sweep cap of the graph subproblem.
@@ -266,17 +268,15 @@ def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
     return s
 
 
-def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
-                    eps_w: float = 1e-3) -> WeightMatrix:
-    """Per-edge penalty weights ``max(eps_w, 1 - c_i - c_j + e*log(d_ij))``.
+def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
+                eps_w: float = 1e-3) -> np.ndarray:
+    """Upper bounds ``1 - eps_w + e*log(d_ij)`` on ``c_i + c_j``, as a matrix.
 
-    The diagonal is left unpenalized (set to zero).  When ``e > 0`` the
-    distance matrix is required and all off-diagonal distances must be
-    strictly positive so the log term is finite.
+    The diagonal is ``inf`` (no bound).  When ``e > 0`` the distance
+    matrix is required, must be N x N and must be strictly positive off
+    the diagonal so the log term is finite.
     """
-    cv = _scores_vector(c)
-    n = cv.shape[0]
-    raw = 1.0 - cv[:, None] - cv[None, :]
+    b = np.full((n, n), 1.0 - eps_w)
     if e > 0:
         if dist is None:
             raise ConfigError("distance coupling e > 0 requires distances")
@@ -291,9 +291,20 @@ def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
                 "distance coupling e > 0 requires strictly positive "
                 "off-diagonal distances"
             )
-        logd = np.zeros_like(dv)
-        logd[off] = np.log(dv[off])
-        raw = raw + e * logd
+        b[off] += e * np.log(dv[off])
+    np.fill_diagonal(b, np.inf)
+    return b
+
+
+def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
+                    eps_w: float = 1e-3) -> WeightMatrix:
+    """Per-edge penalty weights ``max(eps_w, 1 - c_i - c_j + e*log(d_ij))``.
+
+    The weight is the slack of the pairwise bound of :func:`pair_bounds`
+    plus ``eps_w``.  The diagonal is left unpenalized (set to zero).
+    """
+    cv = _scores_vector(c)
+    raw = pair_bounds(cv.shape[0], dist, e, eps_w) + eps_w - cv[:, None] - cv[None, :]
     w = np.maximum(eps_w, raw)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)

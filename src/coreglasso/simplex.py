@@ -1,27 +1,29 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Linear programs through the HiGHS dual simplex.
 
-Small deterministic LP solver for the core-score subproblem:
+Thin adapter over ``scipy.optimize.linprog(method="highs-ds")`` (Huangfu
+& Hall, Math. Prog. Comp. 2018) for the core-score subproblem:
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
                 A_eq @ x == b_eq
-                x >= 0
+                lower <= x <= upper
 
-Bland's rule (lowest eligible index enters; ratio ties leave by lowest
-basis index) makes the pivot sequence, and hence the returned vertex,
-reproducible and cycle-free.  The result carries a duality-gap
-certificate computed from the final basis.
+The constraint matrices may be dense or scipy-sparse.  HiGHS is
+deterministic, so equal inputs give the same vertex on every run.  The
+result carries a duality-gap certificate computed from the HiGHS
+marginals.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
+from scipy.optimize import linprog
 
 from .errors import NumericalError
 
 __all__ = ["SimplexResult", "simplex_solve"]
 
-_EPS = 1e-9
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass(frozen=True)
@@ -30,149 +32,35 @@ class SimplexResult:
     x: np.ndarray | None
     objective: float
     dual_gap: float
-    pivots: int
-
-
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row, col]
-    tableau[row] /= piv
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
-
-
-def _run_simplex(tableau, basis, cost, n_cols, max_pivots, allowed):
-    """Optimize ``cost`` over the current tableau in place.
-
-    ``tableau`` is (m, n_cols + 1) with the rhs in the last column;
-    ``allowed`` marks columns eligible to enter the basis.  Returns
-    (status, pivots) where status is "optimal" or "unbounded".
-    """
-    m = tableau.shape[0]
-    obj = cost.copy()
-    for r, bv in enumerate(basis):
-        if obj[bv] != 0.0:
-            obj -= obj[bv] * tableau[r, :n_cols]
-    pivots = 0
-    while True:
-        entering = -1
-        for j in range(n_cols):
-            if allowed[j] and obj[j] < -_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", pivots
-        leaving = -1
-        best_ratio = np.inf
-        for r in range(m):
-            a = tableau[r, entering]
-            if a > _EPS:
-                ratio = tableau[r, -1] / a
-                if ratio < best_ratio - _EPS or (
-                    abs(ratio - best_ratio) <= _EPS
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            return "unbounded", pivots
-        _pivot(tableau, basis, leaving, entering)
-        obj -= obj[entering] * tableau[leaving, :n_cols]
-        pivots += 1
-        if pivots > max_pivots:
-            raise NumericalError(f"simplex exceeded {max_pivots} pivots")
+    pivots: int  # HiGHS simplex iterations
 
 
 def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                  max_pivots: int = 100_000) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``x >= 0``."""
+                  bounds=(0.0, None)) -> SimplexResult:
+    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq`` and a box.
+
+    ``bounds`` is one scalar ``(lower, upper)`` pair applied to every
+    variable; ``None`` leaves that side unbounded.  Raises
+    :class:`NumericalError` when HiGHS stops for any reason other than
+    optimality, infeasibility or unboundedness.
+    """
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs-ds")
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise NumericalError(f"HiGHS stopped with status {res.status}: {res.message}")
+    if status != "optimal":
+        objective = -np.inf if status == "unbounded" else np.nan
+        return SimplexResult(status, None, objective, np.nan, int(res.nit))
 
-    # Standard form: slacks on the <= rows, rhs made nonnegative.
-    a_std = np.zeros((m, n + m_ub))
-    a_std[:m_ub, :n] = a_ub
-    a_std[:m_ub, n:] = np.eye(m_ub)
-    a_std[m_ub:, :n] = a_eq
-    b_std = np.concatenate([b_ub, b_eq])
-    flip = b_std < 0
-    a_std[flip] *= -1.0
-    b_std[flip] *= -1.0
-    n_std = n + m_ub
-
-    # Artificial variables where no slack can start the basis.
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[:m_ub] = flip[:m_ub]
-    art_rows = np.flatnonzero(needs_art)
-    n_art = art_rows.size
-    n_cols = n_std + n_art
-
-    tableau = np.zeros((m, n_cols + 1))
-    tableau[:, :n_std] = a_std
-    tableau[:, -1] = b_std
-    basis = np.empty(m, dtype=int)
-    for k, r in enumerate(art_rows):
-        tableau[r, n_std + k] = 1.0
-        basis[r] = n_std + k
-    for r in range(m_ub):
-        if not needs_art[r]:
-            basis[r] = n + r
-
-    total_pivots = 0
-    allowed = np.ones(n_cols, dtype=bool)
-    if n_art:
-        # Phase 1: drive artificials to zero.
-        cost1 = np.zeros(n_cols)
-        cost1[n_std:] = 1.0
-        status, p = _run_simplex(tableau, basis, cost1, n_cols, max_pivots, allowed)
-        total_pivots += p
-        resid = sum(
-            tableau[r, -1] for r in range(m) if basis[r] >= n_std
-        )
-        if resid > _EPS * max(1.0, np.abs(b_std).max()):
-            return SimplexResult("infeasible", None, np.nan, np.nan, total_pivots)
-        # Pivot lingering artificials out of the basis; rows that cannot
-        # be pivoted are redundant and harmless (rhs is zero).
-        for r in range(m):
-            if basis[r] >= n_std:
-                for j in range(n_std):
-                    if abs(tableau[r, j]) > _EPS:
-                        _pivot(tableau, basis, r, j)
-                        total_pivots += 1
-                        break
-        allowed[n_std:] = False
-
-    cost2 = np.zeros(n_cols)
-    cost2[:n] = c
-    status, p = _run_simplex(tableau, basis, cost2, n_cols, max_pivots - total_pivots, allowed)
-    total_pivots += p
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, -np.inf, np.nan, total_pivots)
-
-    x_full = np.zeros(n_cols)
-    for r, bv in enumerate(basis):
-        x_full[bv] = tableau[r, -1]
-    x = x_full[:n]
-    objective = float(c @ x)
-
-    # Duality-gap certificate from the final basis: y solves B^T y = c_B.
-    cost_std = np.zeros(n_std)
-    cost_std[:n] = c
-    basic = [bv for bv in basis if bv < n_std]
-    rows = [r for r, bv in enumerate(basis) if bv < n_std]
-    try:
-        y = np.linalg.lstsq(
-            a_std[np.ix_(rows, basic)].T, cost_std[basic], rcond=None
-        )[0]
-        dual_obj = float(b_std[rows] @ y)
-        gap = abs(objective - dual_obj)
-    except np.linalg.LinAlgError:
-        gap = np.nan
-    return SimplexResult("optimal", x, objective, gap, total_pivots)
+    # Dual objective b^T y over the rows and the box; an open side of the
+    # box has zero marginals, so it contributes nothing.
+    lower, upper = (0.0 if b is None else b for b in bounds)
+    dual = lower * res.lower.marginals.sum() + upper * res.upper.marginals.sum()
+    if b_ub is not None:
+        dual += float(np.asarray(b_ub, dtype=float).ravel() @ res.ineqlin.marginals)
+    if b_eq is not None:
+        dual += float(np.asarray(b_eq, dtype=float).ravel() @ res.eqlin.marginals)
+    objective = float(c @ res.x)
+    return SimplexResult("optimal", res.x, objective, abs(objective - dual), int(res.nit))

@@ -110,6 +110,16 @@ class TestFit:
         assert res.theta.n_nodes == 20
 
 
+    def test_capped_graph_step_is_not_converged(self):
+        # Every graph step stops at the 20-sweep cap while the outer
+        # relative-increase test passes: the fit is not a fixed point.
+        inst = sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0)
+        hyper = Hyperparams(lam=0.2, glasso_max_iter=20, bca_rel_tol=1e-2)
+        res = fit(inst.X, hyper=hyper)
+        assert res.outer_iterations < hyper.bca_max_iter
+        assert not res.converged
+
+
 class TestFitGraphGivenScores:
     def test_zero_scores_equal_uniform_glasso(self, instance20):
         hyper = Hyperparams(lam=0.05)

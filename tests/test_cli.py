@@ -7,6 +7,7 @@ import pytest
 
 from coreglasso.cli import main
 from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv
+from coreglasso.synth import planted_scores, sample_instance
 
 FIXTURE = Path(__file__).parent / "data" / "fixture30"
 
@@ -77,6 +78,21 @@ class TestFit:
         ])
         assert code == 2
         assert (out / "scores.json").exists()
+
+    def test_capped_graph_step_exit_two(self, tmp_path):
+        # The outer loop stops on its relative tolerance, but every graph
+        # step hit the sweep cap: unconverged, so exit code 2.
+        inst = sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0)
+        features = tmp_path / "x.csv"
+        write_matrix_csv(features, inst.X.values)
+        out = tmp_path / "o"
+        code = main([
+            "fit", "--features", str(features), "--lambda", "0.2",
+            "--glasso-max-iter", "20", "--bca-rel-tol", "1e-2",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert json.loads((out / "meta.json").read_text())["converged"] is False
 
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coreglasso import (
     ConfigError,
     InfeasibleError,
@@ -121,6 +124,22 @@ class TestInvariants:
         b = core_score_lp(3.7 * t, M=1.2)
         np.testing.assert_allclose(a.c.values, b.c.values, atol=1e-12)
         assert b.objective == pytest.approx(3.7 * a.objective, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_alpha=st.floats(-8.0, 8.0), e=st.sampled_from([0.0, 0.09]),
+           seed=st.integers(0, 2**16))
+    def test_scale_invariance_over_sixteen_decades(self, log_alpha, e, seed):
+        # The gains carry the data's units; scores must not depend on them.
+        n = 6
+        rng = np.random.default_rng(seed)
+        t = np.abs(rng.standard_normal((n, n)))
+        t = 0.5 * (t + t.T)
+        dist = sample_coordinates(n, seed=seed)[1] if e > 0 else None
+        alpha = 10.0 ** log_alpha
+        base = core_score_lp(t, dist=dist, e=e, M=1.0)
+        scaled = core_score_lp(alpha * t, dist=dist, e=e, M=1.0)
+        np.testing.assert_allclose(scaled.c.values, base.c.values, atol=1e-10)
+        assert scaled.objective == pytest.approx(alpha * base.objective, rel=1e-10)
 
 
 class TestScoresFromGraph:
