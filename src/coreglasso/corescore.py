@@ -12,10 +12,10 @@ uses, so the two subproblems stay consistent.
 
 The full program, with all N(N-1)/2 pairwise rows in one sparse matrix,
 goes to the HiGHS dual simplex with the gains divided by ``max|g|``, so
-the step does not depend on the units of the data.  A second solve over
-the optimal face breaks ties towards the lowest node index, and the
-returned scores are certified against the first solve's dual bound,
-relative to ``max|g| * M``.
+the step does not depend on the units of the data.  Unless the optimum
+is unique, a second solve over the optimal face breaks ties towards the
+lowest node index.  The returned scores are certified against the first
+solve's dual bound, relative to ``max|g| * M``.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ class LpResult:
 
     ``active_constraints`` lists the pairwise rows that are tight at the
     solution; ``iterations`` counts HiGHS simplex iterations over both
-    solves (optimum and lowest-index tie-break).
+    solves (optimum and, unless the optimum is unique, lowest-index tie-break).
     """
 
     c: CoreScores
@@ -48,9 +48,9 @@ class LpResult:
 def _solve(gains, bounds, mass, lp_tol):
     """Maximize ``gains @ c`` over the full program; returns (c, iterations).
 
-    ``mass`` None drops the budget row.  Raises :class:`InfeasibleError`
-    when the polytope is empty and :class:`NumericalError` when the
-    certified relative gap exceeds ``lp_tol``.
+    ``mass`` None drops the budget row and the tie-break re-solve.  Raises
+    :class:`InfeasibleError` when the polytope is empty and
+    :class:`NumericalError` when the certified relative gap exceeds ``lp_tol``.
     """
     n = gains.shape[0]
     iu, ju = np.triu_indices(n, k=1)
@@ -68,14 +68,14 @@ def _solve(gains, bounds, mass, lp_tol):
     first = simplex_solve(-g, rows, b_rows, a_eq, b_eq, bounds=(0.0, 1.0))
     if first.status != "optimal":  # the box rules out "unbounded"
         raise InfeasibleError("core-score polytope is empty")
-    # Among the optimal scores, prefer mass on low node indices.
-    face = sparse.vstack([rows, sparse.csr_matrix(-g[None, :])], format="csr")
-    second = simplex_solve(-np.arange(n, 0, -1.0), face,
-                           np.append(b_rows, first.objective), a_eq, b_eq,
-                           bounds=(0.0, 1.0))
-    if second.status != "optimal":
-        raise NumericalError(f"tie-break LP status {second.status}")
-    c = second.x
+    c, iterations = first.x, first.pivots
+    if mass is not None and not first.unique:
+        # Among the optimal scores (g @ c = f*), prefer mass on low node indices.
+        second = simplex_solve(-np.arange(n, 0, -1.0), rows, b_rows, np.vstack([a_eq, g]),
+                               np.append(b_eq, -first.objective), bounds=(0.0, 1.0))
+        if second.status != "optimal":
+            raise NumericalError(f"tie-break LP status {second.status}")
+        c, iterations = second.x, iterations + second.pivots
     # -objective + dual_gap bounds every feasible g @ c from above, whatever
     # the sign of the first solve's primal-dual difference.
     gap = (first.dual_gap - first.objective - g @ c) / (n if mass is None else mass)
@@ -83,7 +83,7 @@ def _solve(gains, bounds, mass, lp_tol):
         raise NumericalError(
             f"LP relative duality gap {gap:.3e} above tolerance {lp_tol:.3e}"
         )
-    return c, first.pivots + second.pivots
+    return c, iterations
 
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = 1e-3) -> float:

@@ -11,12 +11,13 @@ Thin adapter over ``scipy.optimize.linprog(method="highs-ds")`` (Huangfu
 The constraint matrices may be dense or scipy-sparse.  HiGHS is
 deterministic, so equal inputs give the same vertex on every run.  The
 result carries a duality-gap certificate computed from the HiGHS
-marginals.
+marginals, and a flag that certifies the optimum as unique.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import NumericalError
@@ -33,6 +34,7 @@ class SimplexResult:
     objective: float
     dual_gap: float
     pivots: int  # HiGHS simplex iterations
+    unique: bool = False  # x is certified to be the only optimum
 
 
 def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
@@ -63,4 +65,11 @@ def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     if b_eq is not None:
         dual += float(np.asarray(b_eq, dtype=float).ravel() @ res.eqlin.marginals)
     objective = float(c @ res.x)
-    return SimplexResult("optimal", res.x, objective, abs(objective - dual), int(res.nit))
+    # Every optimum keeps the equalities and the constraints with duals above
+    # 1e-6 * max|c| (10x HiGHS's tolerance) tight; full rank makes x unique.
+    zero = 1e-6 * max(1.0, float(np.abs(c).max()))
+    parts = [(np.eye(c.size), res.lower.marginals), (np.eye(c.size), res.upper.marginals),
+             (a_ub, res.ineqlin.marginals), (a_eq, np.full(res.eqlin.marginals.size, np.inf))]
+    tight = [sparse.csr_matrix(a)[np.abs(y) > zero].toarray() for a, y in parts if a is not None]
+    unique = bool(np.linalg.matrix_rank(np.vstack(tight)) == c.size)
+    return SimplexResult("optimal", res.x, objective, abs(objective - dual), int(res.nit), unique)

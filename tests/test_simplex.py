@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
 from scipy.optimize import linprog
 
 from coreglasso.simplex import simplex_solve
@@ -92,3 +93,29 @@ class TestAgainstScipy:
             else:
                 assert ref.status == 2
         assert mismatches == 0
+
+
+class TestUniqueOptimum:
+    def test_single_optimal_vertex(self):
+        # min -2x - y  s.t. x + y <= 1: only (1, 0) is optimal
+        res = simplex_solve(np.array([-2.0, -1.0]), np.array([[1.0, 1.0]]),
+                            np.array([1.0]))
+        np.testing.assert_allclose(res.x, [1.0, 0.0])
+        assert res.unique
+
+    def test_optimal_edge(self):
+        # min -x - y  s.t. x + y <= 1: every point of x + y = 1 is optimal
+        res = simplex_solve(np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]),
+                            np.array([1.0]))
+        assert not res.unique
+
+    def test_sparse_rows_equality_and_box(self):
+        # max x0 + 2 x1 + 3 x2 with x0 + x1 + x2 == 1.5 and a box:
+        # x2 = 1, x1 = 0.5 is the only optimum; equal gains tie.
+        rows = sparse.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
+        kwargs = dict(a_ub=rows, b_ub=np.array([2.0]), a_eq=np.ones((1, 3)),
+                      b_eq=np.array([1.5]), bounds=(0.0, 1.0))
+        res = simplex_solve(-np.array([1.0, 2.0, 3.0]), **kwargs)
+        np.testing.assert_allclose(res.x, [0.0, 0.5, 1.0])
+        assert res.unique
+        assert not simplex_solve(-np.array([1.0, 3.0, 3.0]), **kwargs).unique
