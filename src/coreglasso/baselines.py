@@ -12,6 +12,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError
+from .model import _check_square_symmetric
 
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 
@@ -30,20 +31,14 @@ class BaselineScores:
 
 
 def _check_adjacency(A, name="adjacency", binary=False) -> np.ndarray:
-    a = np.asarray(A, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite entries")
-    if np.abs(a - a.T).max() > 1e-10 * max(1.0, np.abs(a).max()):
-        raise InputError(f"{name} must be symmetric")
+    a = _check_square_symmetric(A, name)
     if np.abs(np.diag(a)).max(initial=0.0) != 0:
         raise InputError(f"{name} must have a zero diagonal")
     if a.min() < 0:
         raise InputError(f"{name} must be nonnegative")
     if binary and not np.isin(a, (0.0, 1.0)).all():
         raise InputError(f"{name} must be binary")
-    return 0.5 * (a + a.T)
+    return a
 
 
 def minres_residual(A, c) -> float:

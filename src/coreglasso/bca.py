@@ -37,7 +37,9 @@ class FitResult:
 
     ``objective_trace`` holds the joint objective after every half-step
     (two entries per outer iteration), so monotone ascent is checkable
-    at half-step granularity.
+    at half-step granularity.  Both entries come from the half-step
+    solvers: the graph step's ``GlassoResult.objective``, then that value
+    plus the change of the penalty term under the new core scores.
     """
 
     theta: Precision
@@ -74,8 +76,6 @@ def fit(X, dist: DistanceMatrix | None = None,
         raise ConfigError("hyperparameters are required")
     fm = _as_features(X)
     n = fm.n_nodes
-    if hyper.e > 0 and dist is None:
-        raise ConfigError("distance coupling e > 0 requires distances")
     if dist is not None and dist.n_nodes != n:
         raise InputError(
             f"distance matrix is {dist.n_nodes}x{dist.n_nodes} for {n} nodes"
@@ -99,38 +99,43 @@ def fit(X, dist: DistanceMatrix | None = None,
         if len(c_init) != n:
             raise InputError("c_init length mismatch")
         c = c_init
-    theta = None if theta_init is None else (
-        theta_init.values if isinstance(theta_init, Precision) else np.asarray(theta_init, float)
-    )
+    theta = None
+    if theta_init is not None:
+        theta = theta_init if isinstance(theta_init, Precision) else Precision(theta_init)
 
     ref = np.diag(1.0 / np.diag(s)) if theta is None else theta
     obj_prev = joint_objective(ref, c, s, hyper, dist)
 
+    w = compute_weights(c, dist, hyper.e, hyper.eps_w)
     trace: list[float] = []
     converged = False
     outer = 0
     for outer in range(1, hyper.bca_max_iter + 1):
-        w = compute_weights(c, dist, hyper.e, hyper.eps_w)
         gres = weighted_glasso(
             s, w, hyper.lam,
             tol=hyper.glasso_tol,
             max_iter=hyper.glasso_max_iter,
             warm_start=theta,
         )
-        theta = gres.theta.values
-        trace.append(joint_objective(theta, c, s, hyper, dist))
+        theta = gres.theta
+        trace.append(gres.objective)
 
         # Diagonal gains are excluded here: the joint objective never
         # penalizes the diagonal, so including them would let the score
         # step decrease it.
+        abs_theta = np.abs(theta.values)
         lp = core_score_lp(
-            np.abs(theta), dist, hyper.e, budget,
+            abs_theta, dist, hyper.e, budget,
             eps_w=hyper.eps_w, lp_tol=hyper.lp_tol,
             include_diagonal=False,
         )
         c = lp.c
-        obj = joint_objective(theta, c, s, hyper, dist)
+        # Only the penalty term depends on c; the new weights are the
+        # next graph step's.
+        w_new = compute_weights(c, dist, hyper.e, hyper.eps_w)
+        obj = gres.objective + hyper.lam * float(((w.values - w_new.values) * abs_theta).sum())
         trace.append(obj)
+        w = w_new
 
         if (obj - obj_prev) / max(1.0, abs(obj_prev)) < hyper.bca_rel_tol:
             # A graph step stopped at its sweep cap is not a fixed point.
@@ -139,7 +144,7 @@ def fit(X, dist: DistanceMatrix | None = None,
         obj_prev = obj
 
     return FitResult(
-        theta=Precision(theta),
+        theta=theta,
         c=c,
         objective_trace=tuple(trace),
         outer_iterations=outer,
@@ -161,7 +166,7 @@ def fit_graph_given_scores(X, c: CoreScores,
     fm = _as_features(X)
     n = fm.n_nodes
     if len(c) != n:
-        raise InputError("core scores length mismatch")
+        raise InputError(f"{len(c)} core scores for {n} nodes")
     cv = c.values
     pair = cv[:, None] + cv[None, :]
     limit = pair_bounds(n, dist, hyper.e, hyper.eps_w)

@@ -10,6 +10,7 @@ iteration cap with results still written.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -21,9 +22,10 @@ from pathlib import Path
 from . import __version__
 from .baselines import kcore_scores, minres_scores
 from .bca import fit as bca_fit
+from .bca import fit_graph_given_scores
 from .corescore import scores_from_graph
 from .errors import CoreglassoError
-from .glasso import support, weighted_glasso
+from .glasso import support
 from .io import (
     read_features_csv,
     read_scores_json,
@@ -36,47 +38,41 @@ from .io import (
     write_trace_csv,
 )
 from .metrics import compare_methods, group_compare, support_recovery
-from .model import (
-    CoreScores,
-    DistanceMatrix,
-    Hyperparams,
-    compute_weights,
-    empirical_covariance,
-)
+from .model import CoreScores, DistanceMatrix, Hyperparams, default_budget
 from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
+_HYPER_NAMES = tuple(f.name for f in dataclasses.fields(Hyperparams))
+_HYPER_HELP = {
+    "lam": "penalty scale (default %(default)s)",
+    "e": "distance coupling; requires --distances when > 0",
+    "M": "core-mass budget (default N/8)",
+}
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    return Hyperparams(
-        lam=args.lam,
-        e=args.e,
-        M=args.M,
-        eps_w=args.eps_w,
-        glasso_tol=args.glasso_tol,
-        lp_tol=args.lp_tol,
-        bca_rel_tol=args.bca_rel_tol,
-        bca_max_iter=args.bca_max_iter,
-        glasso_max_iter=args.glasso_max_iter,
-        ridge=args.ridge,
-    )
+    return Hyperparams(**{name: getattr(args, name) for name in _HYPER_NAMES})
 
 
-def _add_hyper_flags(p, lam_default=0.1):
-    p.add_argument("--lambda", dest="lam", type=float, default=lam_default,
-                   help="penalty scale (default %(default)s)")
-    p.add_argument("--e", type=float, default=0.0,
-                   help="distance coupling; requires --distances when > 0")
-    p.add_argument("--M", type=float, default=None,
-                   help="core-mass budget (default N/8)")
-    p.add_argument("--eps-w", dest="eps_w", type=float, default=1e-3)
-    p.add_argument("--glasso-tol", type=float, default=1e-5)
-    p.add_argument("--glasso-max-iter", type=int, default=1000)
-    p.add_argument("--lp-tol", type=float, default=1e-9)
-    p.add_argument("--bca-rel-tol", type=float, default=1e-5)
-    p.add_argument("--bca-max-iter", type=int, default=50)
-    p.add_argument("--ridge", type=float, default=0.0)
+def _add_hyper_flags(p, names=_HYPER_NAMES):
+    """One flag per named ``Hyperparams`` field, defaulting to the field's
+    default; ``lam`` has none there, so ``--lambda`` defaults to 0.1."""
+    for f in dataclasses.fields(Hyperparams):
+        if f.name not in names:
+            continue
+        default = 0.1 if f.name == "lam" else f.default
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=int if isinstance(default, int) else float,
+                       default=default, help=_HYPER_HELP.get(f.name))
+
+
+def _floats(text, flag):
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise CoreglassoError(
+            f"{flag} expects a comma list of numbers, got {text!r}"
+        ) from None
 
 
 def _out_dir(args) -> Path:
@@ -99,11 +95,7 @@ def _checksums(paths: dict) -> dict:
 
 
 def _meta(command, args, inputs, extra=None) -> dict:
-    hyper_keys = (
-        "lam", "e", "M", "eps_w", "glasso_tol", "glasso_max_iter",
-        "lp_tol", "bca_rel_tol", "bca_max_iter", "ridge", "seed",
-        "threshold", "k", "t", "jobs",
-    )
+    hyper_keys = _HYPER_NAMES + ("seed", "threshold", "k", "t", "jobs")
     resolved = {
         k: getattr(args, k) for k in hyper_keys if hasattr(args, k)
     }
@@ -166,7 +158,7 @@ def cmd_scores_from_graph(args) -> int:
     adjacency, labels = read_square_csv(args.graph, name="adjacency")
     n = adjacency.shape[0]
     dist = _load_distances(args, n)
-    budget = n / 8.0 if args.M is None else args.M
+    budget = default_budget(n) if args.M is None else args.M
     result = scores_from_graph(
         adjacency, dist=dist, e=args.e, M=budget,
         eps_w=args.eps_w, lp_tol=args.lp_tol,
@@ -188,20 +180,10 @@ def cmd_glasso(args) -> int:
     n = features.n_nodes
     dist = _load_distances(args, n)
     if args.scores is not None:
-        scores = read_scores_json(args.scores)
-        if len(scores) != n:
-            raise CoreglassoError(
-                f"scores length {len(scores)} does not match {n} nodes"
-            )
-        c = scores.values
+        c = read_scores_json(args.scores)
     else:
-        c = np.zeros(n)
-    weights = compute_weights(c, dist, args.e, args.eps_w)
-    s = empirical_covariance(features, args.ridge)
-    result = weighted_glasso(
-        s, weights, args.lam,
-        tol=args.glasso_tol, max_iter=args.glasso_max_iter,
-    )
+        c = CoreScores(np.zeros(n), budget=0.0)
+    result = fit_graph_given_scores(features, c, dist, _hyper_from_args(args))
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     meta = _meta("glasso", args, {
@@ -221,9 +203,8 @@ def cmd_glasso(args) -> int:
 def cmd_sample(args) -> int:
     out = _out_dir(args)
     n = args.n
-    budget = n / 8.0 if args.M is None else args.M
     c_true = planted_scores(
-        n, core_frac=args.core_frac, core_value=args.core_value, budget=budget
+        n, core_frac=args.core_frac, core_value=args.core_value, budget=args.M
     )
     dist = None
     if args.with_coordinates or args.e > 0:
@@ -239,7 +220,7 @@ def cmd_sample(args) -> int:
     write_matrix_csv(out / "theta_true.csv", inst.theta_true.values)
     write_scores_json(out / "c_true.json", c_true)
     meta = _meta("sample", args, {}, {
-        "resolved_M": budget,
+        "resolved_M": c_true.budget,
         "n_nodes": n,
         "n_samples": args.d,
         "true_edges": int(
@@ -255,7 +236,7 @@ def cmd_eval(args) -> int:
     truth_raw, _ = read_square_csv(args.truth, name="truth matrix")
     truth = (np.abs(truth_raw) > args.threshold).astype(float)
     np.fill_diagonal(truth, 0.0)
-    theta_est, _ = read_square_csv(args.estimate, name="estimate", symmetric=True)
+    theta_est, _ = read_square_csv(args.estimate, name="estimate")
     n = truth.shape[0]
     if theta_est.shape[0] != n:
         raise CoreglassoError(
@@ -339,13 +320,12 @@ def cmd_group_compare(args) -> int:
 
 
 def _grid_cell(payload):
-    features_path, dist_path, hyper_kwargs, threshold = payload
+    features_path, dist_path, hyper, threshold = payload
     features = read_features_csv(features_path)
     dist = None
     if dist_path is not None:
         values, _ = read_square_csv(dist_path, name="distance matrix")
         dist = DistanceMatrix(values)
-    hyper = Hyperparams(**hyper_kwargs)
     result = bca_fit(features, dist=dist, hyper=hyper)
     n = features.n_nodes
     edges = int(support(result.theta, threshold)[np.triu_indices(n, 1)].sum())
@@ -363,20 +343,15 @@ def _grid_cell(payload):
 
 def cmd_grid(args) -> int:
     out = _out_dir(args)
-    lambdas = [float(tok) for tok in args.lambdas.split(",") if tok]
-    es = [float(tok) for tok in args.es.split(",") if tok] if args.es else [args.e]
+    lambdas = _floats(args.lambdas, "--lambdas")
+    es = _floats(args.es, "--es") if args.es else [args.e]
     if not lambdas or not es:
         raise CoreglassoError("empty grid: no lambda or e values")
-    cells = []
-    for e in es:
-        for lam in lambdas:
-            kwargs = dict(
-                lam=lam, e=e, M=args.M, eps_w=args.eps_w,
-                glasso_tol=args.glasso_tol, lp_tol=args.lp_tol,
-                bca_rel_tol=args.bca_rel_tol, bca_max_iter=args.bca_max_iter,
-                glasso_max_iter=args.glasso_max_iter, ridge=args.ridge,
-            )
-            cells.append((args.features, args.distances, kwargs, args.threshold))
+    base = _hyper_from_args(args)
+    cells = [
+        (args.features, args.distances, dataclasses.replace(base, lam=lam, e=e), args.threshold)
+        for e in es for lam in lambdas
+    ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_grid_cell, cells))
@@ -423,10 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="adjacency CSV")
     p.add_argument("--distances")
     p.add_argument("--out")
-    p.add_argument("--e", type=float, default=0.0)
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--eps-w", dest="eps_w", type=float, default=1e-3)
-    p.add_argument("--lp-tol", dest="lp_tol", type=float, default=1e-9)
+    _add_hyper_flags(p, ("e", "M", "eps_w", "lp_tol"))
     p.set_defaults(func=cmd_scores_from_graph)
 
     p = sub.add_parser("glasso", help="single weighted graphical lasso solve")

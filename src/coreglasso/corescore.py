@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import CoreScores, pair_bounds
+from .model import CoreScores, _check_square_symmetric, pair_bounds
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
@@ -124,16 +124,12 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     -------
     LpResult with a feasible, vertex-optimal, deterministic ``c``.
     """
-    t = np.asarray(abs_theta, dtype=float)
-    n = t.shape[0] if t.ndim == 2 else 0
-    if t.ndim != 2 or t.shape != (n, n) or n < 2:
-        raise InputError("abs_theta must be a square matrix with N >= 2")
-    if not np.all(np.isfinite(t)):
-        raise InputError("abs_theta contains non-finite entries")
+    t = _check_square_symmetric(abs_theta, "abs_theta")
+    n = t.shape[0]
+    if n < 2:
+        raise InputError("abs_theta must have N >= 2 nodes")
     if t.min() < 0:
         raise InputError("abs_theta must be entrywise nonnegative")
-    if np.abs(t - t.T).max() > 1e-10 * max(1.0, t.max()):
-        raise InputError("abs_theta must be symmetric")
     if not 0 < M <= n:
         raise InputError(f"core budget M={M} outside (0, N]")
 
@@ -172,9 +168,7 @@ def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float = 1.0,
     Identical to :func:`core_score_lp` with the adjacency matrix playing
     the role of the edge magnitudes; requires a zero diagonal.
     """
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError("adjacency must be a square matrix")
+    a = _check_square_symmetric(adjacency, "adjacency")
     if np.abs(np.diag(a)).max(initial=0.0) != 0:
         raise InputError("adjacency must have a zero diagonal")
     return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w, lp_tol=lp_tol)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
-from .model import Precision, WeightMatrix
+from .model import Precision, WeightMatrix, _check_square_symmetric
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -48,17 +48,14 @@ class GlassoResult:
 
 
 def _weights_array(W, n: int) -> np.ndarray:
-    wv = W.values if isinstance(W, WeightMatrix) else np.asarray(W, dtype=float)
+    if isinstance(W, WeightMatrix):
+        wv = W.values
+    else:
+        wv = _check_square_symmetric(W, "weight matrix")
+        if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
+            raise InputError("weights must be nonnegative")
     if wv.shape != (n, n):
         raise InputError(f"weight matrix shape {wv.shape}, expected {(n, n)}")
-    if not np.all(np.isfinite(wv)):
-        raise InputError("weight matrix contains non-finite entries")
-    if np.abs(wv - wv.T).max() > 1e-10 * max(1.0, np.abs(wv).max()):
-        raise InputError("weight matrix must be symmetric")
-    wv = 0.5 * (wv + wv.T)
-    off = ~np.eye(n, dtype=bool)
-    if wv[off].size and wv[off].min() < 0:
-        raise InputError("weights must be nonnegative")
     return wv
 
 
@@ -137,19 +134,15 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
         Max-norm bound on the KKT residual at convergence.
     max_iter : int
         Sweep cap; hitting it returns ``converged=False``.
-    warm_start : optional PD matrix used as the initial iterate.
+    warm_start : optional Precision (or array validated as one) used as
+        the initial iterate.
 
     Returns
     -------
     GlassoResult
     """
-    s = np.asarray(S, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InputError(f"covariance must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InputError("covariance contains non-finite entries")
+    s = _check_square_symmetric(S, "covariance")
     n = s.shape[0]
-    s = 0.5 * (s + s.T)
     diag_s = np.diag(s).copy()
     if diag_s.min() <= 0:
         raise InputError("covariance diagonal must be strictly positive")
@@ -161,14 +154,11 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
     np.fill_diagonal(rho, 0.0)
 
     if warm_start is not None:
-        w0 = warm_start.values if isinstance(warm_start, Precision) else np.asarray(warm_start, float)
-        if w0.shape != (n, n):
+        if not isinstance(warm_start, Precision):
+            warm_start = Precision(warm_start)
+        if warm_start.n_nodes != n:
             raise InputError("warm start shape mismatch")
-        theta = 0.5 * (w0 + w0.T)
-        try:
-            np.linalg.cholesky(theta)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("warm start is not positive definite") from None
+        theta = warm_start.values.copy()
     else:
         theta = np.diag(1.0 / diag_s)
 
@@ -266,7 +256,7 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     """
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     n = tv.shape[0]
-    s = 0.5 * (np.asarray(S, float) + np.asarray(S, float).T)
+    s = _check_square_symmetric(S, "covariance")
     rho = lam * _weights_array(W, n)
     np.fill_diagonal(rho, 0.0)
     try:

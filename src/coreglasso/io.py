@@ -18,7 +18,7 @@ import numpy as np
 from pathlib import Path
 
 from .errors import InputError
-from .model import CoreScores, FeatureMatrix
+from .model import CoreScores, FeatureMatrix, _check_square_symmetric
 
 __all__ = [
     "read_table_csv",
@@ -98,18 +98,13 @@ def read_features_csv(path) -> FeatureMatrix:
         raise InputError(f"{path}: {exc}") from None
 
 
-def read_square_csv(path, name="matrix", symmetric=True):
-    """Square numeric matrix (adjacency, distance, precision)."""
+def read_square_csv(path, name="matrix"):
+    """Square symmetric numeric matrix (adjacency, distance, precision)."""
     values, row_labels, _ = read_table_csv(path)
-    if values.shape[0] != values.shape[1]:
-        raise InputError(
-            f"{path}: {name} must be square, got shape {values.shape}"
-        )
-    if symmetric:
-        scale = max(1.0, np.abs(values).max())
-        if np.abs(values - values.T).max() > 1e-8 * scale:
-            raise InputError(f"{path}: {name} must be symmetric")
-    return values, row_labels
+    try:
+        return _check_square_symmetric(values, name), row_labels
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def read_scores_json(path) -> CoreScores:

@@ -21,6 +21,7 @@ __all__ = [
     "WeightMatrix",
     "Precision",
     "Hyperparams",
+    "default_budget",
     "empirical_covariance",
     "pair_bounds",
     "compute_weights",
@@ -36,14 +37,19 @@ def _frozen(values, dtype=float):
     return out
 
 
-def _check_square_symmetric(values, name, tol=1e-10):
+def _check_square_symmetric(values, name) -> np.ndarray:
+    """The one square/finite/symmetric check of the package.
+
+    Symmetry is tested to 1e-10 relative to ``max(1, max|v|)``; returns
+    the exactly symmetric average ``(v + v.T) / 2`` as a new array.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise InputError(f"{name} must be a square matrix, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InputError(f"{name} contains non-finite entries")
     scale = max(1.0, np.abs(v).max())
-    if np.abs(v - v.T).max() > tol * scale:
+    if np.abs(v - v.T).max() > 1e-10 * scale:
         raise InputError(f"{name} must be symmetric")
     return 0.5 * (v + v.T)
 
@@ -218,12 +224,17 @@ class Hyperparams:
 
     def resolve_budget(self, n_nodes: int) -> float:
         """Concrete core-mass budget for an N-node problem (default N/8)."""
-        m = n_nodes / 8.0 if self.M is None else float(self.M)
+        m = default_budget(n_nodes) if self.M is None else float(self.M)
         if m > n_nodes:
             raise ConfigError(
                 f"core budget M={m} infeasible for {n_nodes} nodes (M <= N)"
             )
         return m
+
+
+def default_budget(n_nodes: int) -> float:
+    """Core-mass budget used when none is given: N/8."""
+    return n_nodes / 8.0
 
 
 def _scores_vector(c) -> np.ndarray:
@@ -241,7 +252,8 @@ def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
     Parameters
     ----------
     X : FeatureMatrix or array of shape (N, d)
-        Nodes on rows, i.i.d. samples on columns.
+        Nodes on rows, i.i.d. samples on columns; an array is validated
+        as a :class:`FeatureMatrix`.
     ridge : float
         Nonnegative diagonal loading; makes the result positive definite
         when d < N.
@@ -252,14 +264,8 @@ def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
     """
     if ridge < 0:
         raise InputError("ridge must be nonnegative")
-    v = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
-    if v.ndim != 2:
-        raise InputError("feature matrix must be 2-D")
+    v = (X if isinstance(X, FeatureMatrix) else FeatureMatrix(X)).values
     n, d = v.shape
-    if d == 0:
-        raise InputError("empty data: need at least one sample column")
-    if not np.all(np.isfinite(v)):
-        raise InputError("feature matrix contains non-finite entries")
     centered = v - v.mean(axis=1, keepdims=True)
     s = centered @ centered.T / d
     s = 0.5 * (s + s.T)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError
-from .model import CoreScores, DistanceMatrix, FeatureMatrix, Precision, compute_weights
+from .model import (
+    CoreScores,
+    DistanceMatrix,
+    FeatureMatrix,
+    Precision,
+    compute_weights,
+    default_budget,
+)
 
 __all__ = ["SyntheticInstance", "sample_instance", "sample_coordinates", "planted_scores"]
 
@@ -43,7 +50,7 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     """
     if not 0 <= core_frac <= 1:
         raise InputError("core_frac must lie in [0, 1]")
-    m = n / 8.0 if budget is None else float(budget)
+    m = default_budget(n) if budget is None else float(budget)
     n_core = int(np.floor(core_frac * n))
     c = np.zeros(n)
     c[:n_core] = core_value

@@ -9,10 +9,11 @@ from coreglasso import (
     empirical_covariance,
     fit,
     fit_graph_given_scores,
+    joint_objective,
     support,
     weighted_glasso,
 )
-from coreglasso.synth import planted_scores, sample_instance
+from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 
 @pytest.fixture(scope="module")
@@ -140,18 +141,23 @@ class TestFitGraphGivenScores:
         assert w[2, 3] == pytest.approx(1.0)
 
     def test_matches_fit_half_step(self, instance20):
-        hyper = Hyperparams(lam=0.05)
         n = 20
-        budget = hyper.resolve_budget(n)
-        c0 = CoreScores(np.full(n, budget / n), budget=budget)
-        half = fit_graph_given_scores(instance20.X, c0, hyper=hyper)
-        full = fit(instance20.X, hyper=hyper)
-        # The first trace entry is the joint objective after the same
-        # first graph step.
+        _, dist = sample_coordinates(n, seed=3)
         s = empirical_covariance(instance20.X)
-        from coreglasso import joint_objective
-        first_obj = joint_objective(half.theta, c0, s, hyper)
-        assert first_obj == pytest.approx(full.objective_trace[0], abs=1e-9)
+        for e in (0.0, 0.09):
+            hyper = Hyperparams(lam=0.05, e=e, bca_max_iter=1)
+            budget = hyper.resolve_budget(n)
+            c0 = CoreScores(np.full(n, budget / n), budget=budget)
+            half = fit_graph_given_scores(instance20.X, c0, dist, hyper=hyper)
+            full = fit(instance20.X, dist, hyper=hyper)
+            np.testing.assert_array_equal(full.theta.values, half.theta.values)
+            # The trace comes from the half-step solvers; both entries are
+            # the joint objective after the graph step and after the score step.
+            first, second = full.objective_trace
+            assert first == pytest.approx(
+                joint_objective(half.theta, c0, s, hyper, dist), rel=1e-12, abs=1e-12)
+            assert second == pytest.approx(
+                joint_objective(full.theta, full.c, s, hyper, dist), rel=1e-12, abs=1e-12)
 
     def test_rejects_bound_violating_scores(self, instance20):
         c = np.zeros(20)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coreglasso import Hyperparams
 from coreglasso.cli import main
 from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv
 from coreglasso.synth import planted_scores, sample_instance
@@ -94,6 +96,15 @@ class TestFit:
         assert code == 2
         assert json.loads((out / "meta.json").read_text())["converged"] is False
 
+    def test_default_flags_are_hyperparams_defaults(self, tmp_path):
+        out = tmp_path / "o"
+        assert main([
+            "fit", "--features", str(FIXTURE / "features.csv"), "--out", str(out),
+        ]) == 0
+        params = json.loads((out / "meta.json").read_text())["parameters"]
+        expected = dataclasses.asdict(Hyperparams(lam=0.1))
+        assert {k: params[k] for k in expected} == expected
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("COREGLASSO_OUTDIR", str(target))
@@ -151,6 +162,17 @@ class TestGlasso:
         assert theta.shape == (30, 30)
         meta = json.loads((out / "meta.json").read_text())
         assert meta["kkt_residual"] <= 1e-5
+
+    def test_scores_violating_pairwise_bound_rejected(self, tmp_path, capsys):
+        values = [0.75, 0.75] + [0.0] * 28
+        scores = tmp_path / "c.json"
+        scores.write_text(json.dumps({"values": values, "M": 1.5}))
+        code = main([
+            "glasso", "--features", str(FIXTURE / "features.csv"),
+            "--scores", str(scores), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "pairwise bound" in capsys.readouterr().err
 
 
 class TestSample:
@@ -294,12 +316,17 @@ class TestGrid:
         assert edges == sorted(edges, reverse=True)
 
     def test_empty_grid_exit_one(self, tmp_path, capsys):
-        code = main([
-            "grid", "--features", str(FIXTURE / "features.csv"),
-            "--lambdas", "", "--out", str(tmp_path / "g"),
-        ])
-        assert code == 1
-        assert "empty grid" in capsys.readouterr().err
+        for grid, message in (
+            (["--lambdas", ""], "empty grid"),
+            (["--lambdas", "0.1,abc"], "--lambdas expects a comma list"),
+            (["--lambdas", "0.1", "--es", "0,x"], "--es expects a comma list"),
+        ):
+            code = main([
+                "grid", "--features", str(FIXTURE / "features.csv"),
+                *grid, "--out", str(tmp_path / "g"),
+            ])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_size_one_grid_matches_fit(self, tmp_path):
         grid_out = tmp_path / "g"
