@@ -11,8 +11,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .model import _check_square_symmetric
+from .model import _check_adjacency
 
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 
@@ -28,17 +27,6 @@ class BaselineScores:
     method: str
     raw: np.ndarray
     residuals: tuple[float, ...] | None = None
-
-
-def _check_adjacency(A, name="adjacency", binary=False) -> np.ndarray:
-    a = _check_square_symmetric(A, name)
-    if np.abs(np.diag(a)).max(initial=0.0) != 0:
-        raise InputError(f"{name} must have a zero diagonal")
-    if a.min() < 0:
-        raise InputError(f"{name} must be nonnegative")
-    if binary and not np.isin(a, (0.0, 1.0)).all():
-        raise InputError(f"{name} must be binary")
-    return a
 
 
 def minres_residual(A, c) -> float:

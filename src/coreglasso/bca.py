@@ -53,6 +53,22 @@ def _as_features(X) -> FeatureMatrix:
     return X if isinstance(X, FeatureMatrix) else FeatureMatrix(np.asarray(X, float))
 
 
+def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
+    """Given scores: N of them, with every ``c_i + c_j`` within its pairwise
+    bound, so the weight floor ``eps_w`` stays inactive."""
+    if len(c) != n:
+        raise InputError(f"{len(c)} core scores for {n} nodes")
+    cv = c.values
+    pair = cv[:, None] + cv[None, :]
+    limit = pair_bounds(n, dist, hyper.e, hyper.eps_w)
+    if np.any(pair > limit + 1e-9):
+        i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
+        raise ConfigError(
+            f"core scores violate the pairwise bound on ({i}, {j}): "
+            f"c_i + c_j = {pair[i, j]:.6g} > {limit[i, j]:.6g}"
+        )
+
+
 def fit(X, dist: DistanceMatrix | None = None,
         hyper: Hyperparams | None = None, *,
         c_init: CoreScores | None = None,
@@ -64,7 +80,8 @@ def fit(X, dist: DistanceMatrix | None = None,
     X : FeatureMatrix or (N, d) array of node attributes.
     dist : distances, required when ``hyper.e > 0``.
     hyper : solver hyperparameters (budget None resolves to N/8).
-    c_init : optional initial core scores (default: uniform M/N).
+    c_init : optional initial core scores (default: uniform M/N); they
+        must sum to the resolved budget and respect the pairwise bounds.
     theta_init : optional PD warm start for the first graph step.
 
     Returns
@@ -96,8 +113,11 @@ def fit(X, dist: DistanceMatrix | None = None,
     if c_init is None:
         c = CoreScores(np.full(n, budget / n), budget=budget)
     else:
-        if len(c_init) != n:
-            raise InputError("c_init length mismatch")
+        _check_scores(c_init, n, dist, hyper)
+        if abs(c_init.budget - budget) > 1e-9:
+            raise ConfigError(
+                f"c_init has budget {c_init.budget:.6g}, the fit has M={budget:.6g}"
+            )
         c = c_init
     theta = None
     if theta_init is not None:
@@ -164,18 +184,7 @@ def fit_graph_given_scores(X, c: CoreScores,
     if hyper is None:
         raise ConfigError("hyperparameters are required")
     fm = _as_features(X)
-    n = fm.n_nodes
-    if len(c) != n:
-        raise InputError(f"{len(c)} core scores for {n} nodes")
-    cv = c.values
-    pair = cv[:, None] + cv[None, :]
-    limit = pair_bounds(n, dist, hyper.e, hyper.eps_w)
-    if np.any(pair > limit + 1e-9):
-        i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
-        raise ConfigError(
-            f"core scores violate the pairwise bound on ({i}, {j}): "
-            f"c_i + c_j = {pair[i, j]:.6g} > {limit[i, j]:.6g}"
-        )
+    _check_scores(c, fm.n_nodes, dist, hyper)
     s = empirical_covariance(fm, hyper.ridge)
     w = compute_weights(c, dist, hyper.e, hyper.eps_w)
     return weighted_glasso(

@@ -27,6 +27,7 @@ from .corescore import scores_from_graph
 from .errors import CoreglassoError
 from .glasso import support
 from .io import (
+    _write_rows,
     read_features_csv,
     read_scores_json,
     read_square_csv,
@@ -43,6 +44,8 @@ from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
 _HYPER_NAMES = tuple(f.name for f in dataclasses.fields(Hyperparams))
+# grid takes lambda from --lambdas, so it has no --lambda flag.
+_GRID_HYPER_NAMES = tuple(name for name in _HYPER_NAMES if name != "lam")
 _HYPER_HELP = {
     "lam": "penalty scale (default %(default)s)",
     "e": "distance coupling; requires --distances when > 0",
@@ -110,6 +113,11 @@ def _meta(command, args, inputs, extra=None) -> dict:
     return meta
 
 
+def _edge_count(theta, threshold=0.0) -> int:
+    """Edges of ``support(theta, threshold)`` over pairs i < j."""
+    return int(np.triu(support(theta, threshold), 1).sum())
+
+
 def _load_distances(args, n):
     if args.distances is None:
         if args.e > 0:
@@ -138,16 +146,14 @@ def cmd_fit(args) -> int:
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_trace_csv(out / "trace.csv", result.objective_trace)
-    budget = hyper.resolve_budget(features.n_nodes)
-    edges = int(support(result.theta, args.threshold)[np.triu_indices(features.n_nodes, 1)].sum())
     meta = _meta("fit", args, {"features": args.features, "distances": args.distances}, {
-        "resolved_M": budget,
+        "resolved_M": hyper.resolve_budget(features.n_nodes),
         "n_nodes": features.n_nodes,
         "n_samples": features.n_samples,
         "converged": result.converged,
         "outer_iterations": result.outer_iterations,
         "objective": result.objective_trace[-1],
-        "edges": edges,
+        "edges": _edge_count(result.theta, args.threshold),
     })
     write_json(out / "meta.json", meta)
     return 0 if result.converged else 2
@@ -223,9 +229,7 @@ def cmd_sample(args) -> int:
         "resolved_M": c_true.budget,
         "n_nodes": n,
         "n_samples": args.d,
-        "true_edges": int(
-            (inst.theta_true.values[np.triu_indices(n, 1)] != 0).sum()
-        ),
+        "true_edges": _edge_count(inst.theta_true),
     })
     write_json(out / "meta.json", meta)
     return 0
@@ -234,8 +238,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     truth_raw, _ = read_square_csv(args.truth, name="truth matrix")
-    truth = (np.abs(truth_raw) > args.threshold).astype(float)
-    np.fill_diagonal(truth, 0.0)
+    truth = support(truth_raw, args.threshold)
     theta_est, _ = read_square_csv(args.estimate, name="estimate")
     n = truth.shape[0]
     if theta_est.shape[0] != n:
@@ -266,16 +269,9 @@ def cmd_eval(args) -> int:
         truth, theta_est, scores, t=args.t,
         binarize_estimate=args.binarize_estimate, threshold=args.threshold,
     )
-    est_support = (np.abs(theta_est) > args.threshold).astype(int)
-    np.fill_diagonal(est_support, 0)
-    precision, recall, f1 = support_recovery(truth, est_support)
+    precision, recall, f1 = support_recovery(truth, support(theta_est, args.threshold))
 
-    with open(out / "table.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,dist_truth,dist_estimate\n")
-        for row in rows:
-            fh.write(
-                f"{row['method']},{row['dist_truth']!r},{row['dist_estimate']!r}\n"
-            )
+    _write_rows(out / "table.csv", [r.values() for r in rows], header=list(rows[0]))
     table = {
         "table": rows,
         "support_recovery": {
@@ -302,10 +298,7 @@ def cmd_group_compare(args) -> int:
         print(f"warning: k={k} larger than {n} nodes; clamping", file=sys.stderr)
         k = n
     diff, top = group_compare(group_a, group_b, k=k)
-    with open(out / "diff.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,diff\n")
-        for i, v in enumerate(diff):
-            fh.write(f"{i},{v!r}\n")
+    _write_rows(out / "diff.csv", enumerate(diff), header=("node", "diff"))
     summary = {
         "k": k,
         "top_k": [int(i) for i in top],
@@ -328,7 +321,7 @@ def _grid_cell(payload):
         dist = DistanceMatrix(values)
     result = bca_fit(features, dist=dist, hyper=hyper)
     n = features.n_nodes
-    edges = int(support(result.theta, threshold)[np.triu_indices(n, 1)].sum())
+    edges = _edge_count(result.theta, threshold)
     total = n * (n - 1) // 2
     return {
         "lambda": hyper.lam,
@@ -347,7 +340,7 @@ def cmd_grid(args) -> int:
     es = _floats(args.es, "--es") if args.es else [args.e]
     if not lambdas or not es:
         raise CoreglassoError("empty grid: no lambda or e values")
-    base = _hyper_from_args(args)
+    base = Hyperparams(lam=lambdas[0], **{k: getattr(args, k) for k in _GRID_HYPER_NAMES})
     cells = [
         (args.features, args.distances, dataclasses.replace(base, lam=lam, e=e), args.threshold)
         for e in es for lam in lambdas
@@ -358,14 +351,9 @@ def cmd_grid(args) -> int:
     else:
         results = [_grid_cell(cell) for cell in cells]
 
-    with open(out / "grid.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda,e,edges,edge_pct,converged,outer_iterations,objective\n")
-        for row in results:
-            fh.write(
-                f"{row['lambda']!r},{row['e']!r},{row['edges']},"
-                f"{row['edge_pct']!r},{int(row['converged'])},"
-                f"{row['outer_iterations']},{row['objective']!r}\n"
-            )
+    _write_rows(out / "grid.csv", (
+        [int(v) if isinstance(v, bool) else v for v in row.values()] for row in results
+    ), header=list(results[0]))
     meta = _meta("grid", args, {
         "features": args.features, "distances": args.distances,
     }, {"cells": results})
@@ -446,16 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_group_compare)
 
-    p = sub.add_parser("grid", help="fit over a lambda (and e) grid")
+    # No abbreviations, or --lambda would pass for --lambdas.
+    p = sub.add_parser("grid", help="fit over a lambda (and e) grid", allow_abbrev=False)
     p.add_argument("--features", required=True)
     p.add_argument("--distances")
     p.add_argument("--lambdas", required=True, help="comma list of lambda values")
     p.add_argument("--es", default=None, help="comma list of e values")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.0)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, _GRID_HYPER_NAMES)
     p.set_defaults(func=cmd_grid)
 
     return parser

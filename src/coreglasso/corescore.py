@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import CoreScores, _check_square_symmetric, pair_bounds
+from .model import CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
@@ -166,9 +166,8 @@ def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float = 1.0,
     """Estimate core scores for a known graph.
 
     Identical to :func:`core_score_lp` with the adjacency matrix playing
-    the role of the edge magnitudes; requires a zero diagonal.
+    the role of the edge magnitudes; requires a zero diagonal and
+    nonnegative entries.
     """
-    a = _check_square_symmetric(adjacency, "adjacency")
-    if np.abs(np.diag(a)).max(initial=0.0) != 0:
-        raise InputError("adjacency must have a zero diagonal")
+    a = _check_adjacency(adjacency)
     return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w, lp_tol=lp_tol)

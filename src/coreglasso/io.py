@@ -18,6 +18,7 @@ import numpy as np
 from pathlib import Path
 
 from .errors import InputError
+from .glasso import support
 from .model import CoreScores, FeatureMatrix, _check_square_symmetric
 
 __all__ = [
@@ -124,50 +125,46 @@ def read_scores_json(path) -> CoreScores:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(path, rows, header=None, sep=",") -> None:
+    """The one table writer: UTF-8, LF, floats as ``repr(float(x))``."""
+    def cell(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for row in rows:
+            fh.write(sep.join(map(cell, row)) + "\n")
 
 
 def write_matrix_csv(path, values, labels=None) -> None:
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, row in enumerate(values):
-            cells = [_fmt(v) for v in row]
-            if labels is not None:
-                cells.insert(0, str(labels[i]))
-            fh.write(",".join(cells) + "\n")
+    rows = np.asarray(values, dtype=float).tolist()
+    if labels is not None:
+        rows = ([str(labels[i]), *row] for i, row in enumerate(rows))
+    _write_rows(path, rows)
 
 
 def write_scores_json(path, scores: CoreScores, labels=None) -> None:
     n = len(scores)
-    payload = {
+    write_json(path, {
         "labels": list(labels) if labels is not None else [str(i) for i in range(n)],
         "values": [float(v) for v in scores.values],
         "M": float(scores.budget),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_edges_tsv(path, theta, threshold: float = 0.0) -> None:
     tv = np.asarray(theta.values if hasattr(theta, "values") else theta, float)
-    n = tv.shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i\tj\ttheta\n")
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if abs(tv[i, j]) > threshold:
-                    fh.write(f"{i}\t{j}\t{_fmt(tv[i, j])}\n")
+    iu, ju = np.nonzero(np.triu(support(tv, threshold), 1))
+    _write_rows(path, zip(iu.tolist(), ju.tolist(), tv[iu, ju].tolist()),
+                header=("i", "j", "theta"), sep="\t")
 
 
 def write_trace_csv(path, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("outer_iter,half_step,objective\n")
-        for idx, value in enumerate(trace):
-            outer = idx // 2 + 1
-            half = "graph" if idx % 2 == 0 else "scores"
-            fh.write(f"{outer},{half},{_fmt(value)}\n")
+    _write_rows(path, (
+        (idx // 2 + 1, "graph" if idx % 2 == 0 else "scores", value)
+        for idx, value in enumerate(trace)
+    ), header=("outer_iter", "half_step", "objective"))
 
 
 def write_json(path, payload: dict) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError
+from .glasso import support
 from .model import CoreScores
 
 __all__ = [
@@ -69,8 +70,8 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     magnitudes are each reordered by that method's scores and compared
     against the ideal block model with core size ``t`` (default
     ``floor(N/4)``).  Either matrix may be None, in which case its
-    column is None.  ``binarize_estimate`` thresholds ``|theta|`` to a
-    0/1 support before measuring.
+    column is None.  ``binarize_estimate`` replaces the estimate by its
+    :func:`~coreglasso.glasso.support` at ``threshold`` before measuring.
 
     Returns a list of row dicts ``{method, dist_truth, dist_estimate}``
     in insertion order of ``scores_by_method``.
@@ -85,8 +86,7 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
             dtype=float,
         ))
         if binarize_estimate:
-            est = (est > threshold).astype(float)
-            np.fill_diagonal(est, 0.0)
+            est = support(est, threshold)
     sizes = [m.shape[0] for m in (truth, est) if m is not None]
     if not sizes:
         raise InputError("need at least one of A_truth or theta_est")

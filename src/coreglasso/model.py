@@ -54,6 +54,18 @@ def _check_square_symmetric(values, name) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
+def _check_adjacency(A, name="adjacency", binary=False) -> np.ndarray:
+    """A graph: square/finite/symmetric, zero diagonal, nonnegative."""
+    a = _check_square_symmetric(A, name)
+    if np.abs(np.diag(a)).max(initial=0.0) != 0:
+        raise InputError(f"{name} must have a zero diagonal")
+    if a.min() < 0:
+        raise InputError(f"{name} must be nonnegative")
+    if binary and not np.isin(a, (0.0, 1.0)).all():
+        raise InputError(f"{name} must be binary")
+    return a
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Node attributes: N rows (nodes) by d columns (i.i.d. samples)."""

@@ -159,10 +159,20 @@ class TestFitGraphGivenScores:
             assert second == pytest.approx(
                 joint_objective(full.theta, full.c, s, hyper, dist), rel=1e-12, abs=1e-12)
 
-    def test_rejects_bound_violating_scores(self, instance20):
+    @pytest.mark.parametrize("entry", ["fit_graph_given_scores", "fit", "fit_budget"])
+    def test_rejects_bound_violating_scores(self, instance20, entry):
         c = np.zeros(20)
         c[0] = c[1] = 0.75
         scores = CoreScores(c, budget=1.5)
-        with pytest.raises(ConfigError, match="pairwise bound"):
-            fit_graph_given_scores(instance20.X, scores,
-                                   hyper=Hyperparams(lam=0.05))
+        if entry == "fit_graph_given_scores":
+            with pytest.raises(ConfigError, match="pairwise bound"):
+                fit_graph_given_scores(instance20.X, scores,
+                                       hyper=Hyperparams(lam=0.05))
+        elif entry == "fit":
+            with pytest.raises(ConfigError, match="pairwise bound"):
+                fit(instance20.X, hyper=Hyperparams(lam=0.05, M=1.5), c_init=scores)
+        else:
+            # Within the bounds, but the fit's budget is N/8 = 2.5.
+            uniform = CoreScores(np.full(20, 1.5 / 20), budget=1.5)
+            with pytest.raises(ConfigError, match="budget"):
+                fit(instance20.X, hyper=Hyperparams(lam=0.05), c_init=uniform)

@@ -250,12 +250,19 @@ class TestEval:
         assert methods == ["proposed", "minres", "kcores"]
 
     def test_missing_truth_file(self, tmp_path, capsys):
-        code = main([
-            "eval", "--truth", str(tmp_path / "nope.csv"),
-            "--estimate", str(tmp_path / "nope.csv"),
-            "--out", str(tmp_path / "e"),
-        ])
-        assert code == 1
+        star = str(star_csv(tmp_path / "star.csv"))
+        for inputs, message in (
+            ([str(tmp_path / "nope.csv")] * 2, "nope.csv"),
+            # A negative threshold would make every pair an edge.
+            ([star, star, "--threshold", "-0.5"], "threshold must be nonnegative"),
+        ):
+            truth, estimate, *flags = inputs
+            code = main([
+                "eval", "--truth", truth, "--estimate", estimate, *flags,
+                "--out", str(tmp_path / "e"),
+            ])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
 
 class TestGroupCompare:
@@ -327,6 +334,17 @@ class TestGrid:
             ])
             assert code == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--lambda", "0.05"], ["--seed", "1"]], ids=["lambda", "seed"])
+    def test_fit_only_flags_rejected(self, tmp_path, capsys, flag):
+        # Cells take lambda from --lambdas, and a fit uses no seed.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "grid", "--features", str(FIXTURE / "features.csv"),
+                "--lambdas", "0.05", *flag, "--out", str(tmp_path / "g"),
+            ])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_size_one_grid_matches_fit(self, tmp_path):
         grid_out = tmp_path / "g"

@@ -174,6 +174,10 @@ class TestScoresFromGraph:
         with pytest.raises(InputError):
             scores_from_graph(np.eye(3), M=0.5)
 
+    def test_rejects_negative_entries(self):
+        with pytest.raises(InputError, match="adjacency must be nonnegative"):
+            scores_from_graph(np.eye(3) - 1.0, M=0.5)
+
 
 class TestInfeasibility:
     def test_budget_beyond_polytope(self):
