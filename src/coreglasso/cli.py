@@ -2,11 +2,11 @@
 
 Subcommands: fit, scores-from-graph, glasso, sample, eval,
 group-compare, grid.  Every command is deterministic given its inputs,
-flags and seed; each run writes a ``meta.json`` recording the resolved
-hyperparameters, tool version and input checksums.
+flags and seed.  ``main`` runs one command, then writes its ``meta.json``
+recording the resolved hyperparameters, tool version and input checksums.
 
-Exit codes: 0 success, 1 input/configuration error, 2 finished at an
-iteration cap with results still written.
+Exit codes: 0 success, 1 input/configuration error (no ``meta.json``),
+2 finished at an iteration cap with results still written.
 """
 
 import argparse
@@ -97,20 +97,15 @@ def _checksums(paths: dict) -> dict:
     }
 
 
-def _meta(command, args, inputs, extra=None) -> dict:
-    hyper_keys = _HYPER_NAMES + ("seed", "threshold", "k", "t", "jobs")
-    resolved = {
-        k: getattr(args, k) for k in hyper_keys if hasattr(args, k)
-    }
-    meta = {
-        "command": command,
+def _meta(args, inputs, extra) -> dict:
+    keys = _HYPER_NAMES + ("seed", "threshold", "k", "t", "jobs")
+    return {
+        "command": args.command,
         "version": __version__,
-        "parameters": resolved,
+        "parameters": {k: getattr(args, k) for k in keys if hasattr(args, k)},
         "inputs": _checksums(inputs),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _edge_count(theta, threshold=0.0) -> int:
@@ -118,14 +113,15 @@ def _edge_count(theta, threshold=0.0) -> int:
     return int(np.triu(support(theta, threshold), 1).sum())
 
 
-def _load_distances(args, n):
-    if args.distances is None:
-        if args.e > 0:
+def _load_distances(path, e, n):
+    """The distance matrix at ``path`` for ``n`` nodes, or None without one."""
+    if path is None:
+        if e > 0:
             raise CoreglassoError(
                 "distance coupling --e > 0 requires --distances"
             )
         return None
-    values, _ = read_square_csv(args.distances, name="distance matrix")
+    values, _ = read_square_csv(path, name="distance matrix")
     dist = DistanceMatrix(values)
     if dist.n_nodes != n:
         raise CoreglassoError(
@@ -134,10 +130,14 @@ def _load_distances(args, n):
     return dist
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+# Each command writes its outputs under ``out`` and returns ``(inputs,
+# extra, complete)``: the input paths to checksum, the fields ``meta.json``
+# adds to the common ones, and False when a solver stopped at a cap.
+
+
+def cmd_fit(args, out):
     features = read_features_csv(args.features)
-    dist = _load_distances(args, features.n_nodes)
+    dist = _load_distances(args.distances, args.e, features.n_nodes)
     hyper = _hyper_from_args(args)
     result = bca_fit(features, dist=dist, hyper=hyper)
 
@@ -146,7 +146,7 @@ def cmd_fit(args) -> int:
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_trace_csv(out / "trace.csv", result.objective_trace)
-    meta = _meta("fit", args, {"features": args.features, "distances": args.distances}, {
+    return {"features": args.features, "distances": args.distances}, {
         "resolved_M": hyper.resolve_budget(features.n_nodes),
         "n_nodes": features.n_nodes,
         "n_samples": features.n_samples,
@@ -154,37 +154,30 @@ def cmd_fit(args) -> int:
         "outer_iterations": result.outer_iterations,
         "objective": result.objective_trace[-1],
         "edges": _edge_count(result.theta, args.threshold),
-    })
-    write_json(out / "meta.json", meta)
-    return 0 if result.converged else 2
+    }, result.converged
 
 
-def cmd_scores_from_graph(args) -> int:
-    out = _out_dir(args)
+def cmd_scores_from_graph(args, out):
     adjacency, labels = read_square_csv(args.graph, name="adjacency")
     n = adjacency.shape[0]
-    dist = _load_distances(args, n)
+    dist = _load_distances(args.distances, args.e, n)
     budget = default_budget(n) if args.M is None else args.M
     result = scores_from_graph(
         adjacency, dist=dist, e=args.e, M=budget,
         eps_w=args.eps_w, lp_tol=args.lp_tol,
     )
     write_scores_json(out / "scores.json", result.c, labels=labels)
-    meta = _meta("scores-from-graph", args,
-                 {"graph": args.graph, "distances": args.distances}, {
-                     "resolved_M": budget,
-                     "objective": result.objective,
-                     "active_constraints": [list(p) for p in result.active_constraints],
-                 })
-    write_json(out / "meta.json", meta)
-    return 0
+    return {"graph": args.graph, "distances": args.distances}, {
+        "resolved_M": budget,
+        "objective": result.objective,
+        "active_constraints": [list(p) for p in result.active_constraints],
+    }, True
 
 
-def cmd_glasso(args) -> int:
-    out = _out_dir(args)
+def cmd_glasso(args, out):
     features = read_features_csv(args.features)
     n = features.n_nodes
-    dist = _load_distances(args, n)
+    dist = _load_distances(args.distances, args.e, n)
     if args.scores is not None:
         c = read_scores_json(args.scores)
     else:
@@ -192,7 +185,7 @@ def cmd_glasso(args) -> int:
     result = fit_graph_given_scores(features, c, dist, _hyper_from_args(args))
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
-    meta = _meta("glasso", args, {
+    return {
         "features": args.features,
         "distances": args.distances,
         "scores": args.scores,
@@ -201,13 +194,10 @@ def cmd_glasso(args) -> int:
         "iterations": result.iterations,
         "objective": result.objective,
         "kkt_residual": result.kkt_residual,
-    })
-    write_json(out / "meta.json", meta)
-    return 0 if result.converged else 2
+    }, result.converged
 
 
-def cmd_sample(args) -> int:
-    out = _out_dir(args)
+def cmd_sample(args, out):
     n = args.n
     c_true = planted_scores(
         n, core_frac=args.core_frac, core_value=args.core_value, budget=args.M
@@ -225,18 +215,15 @@ def cmd_sample(args) -> int:
     write_matrix_csv(out / "features.csv", inst.X.values)
     write_matrix_csv(out / "theta_true.csv", inst.theta_true.values)
     write_scores_json(out / "c_true.json", c_true)
-    meta = _meta("sample", args, {}, {
+    return {}, {
         "resolved_M": c_true.budget,
         "n_nodes": n,
         "n_samples": args.d,
         "true_edges": _edge_count(inst.theta_true),
-    })
-    write_json(out / "meta.json", meta)
-    return 0
+    }, True
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
+def cmd_eval(args, out):
     truth_raw, _ = read_square_csv(args.truth, name="truth matrix")
     truth = support(truth_raw, args.threshold)
     theta_est, _ = read_square_csv(args.estimate, name="estimate")
@@ -280,16 +267,10 @@ def cmd_eval(args) -> int:
         "t": args.t if args.t is not None else max(1, n // 4),
     }
     write_json(out / "table.json", table)
-    meta = _meta("eval", args, {
-        "truth": args.truth,
-        "estimate": args.estimate,
-    }, table)
-    write_json(out / "meta.json", meta)
-    return 0
+    return {"truth": args.truth, "estimate": args.estimate}, table, True
 
 
-def cmd_group_compare(args) -> int:
-    out = _out_dir(args)
+def cmd_group_compare(args, out):
     group_a = [read_scores_json(p) for p in args.group_a]
     group_b = [read_scores_json(p) for p in args.group_b]
     n = len(group_a[0])
@@ -298,7 +279,7 @@ def cmd_group_compare(args) -> int:
         print(f"warning: k={k} larger than {n} nodes; clamping", file=sys.stderr)
         k = n
     diff, top = group_compare(group_a, group_b, k=k)
-    _write_rows(out / "diff.csv", enumerate(diff), header=("node", "diff"))
+    _write_rows(out / "diff.csv", enumerate(diff.tolist()), header=("node", "diff"))
     summary = {
         "k": k,
         "top_k": [int(i) for i in top],
@@ -307,20 +288,15 @@ def cmd_group_compare(args) -> int:
     write_json(out / "top.json", summary)
     inputs = {f"group_a_{i}": p for i, p in enumerate(args.group_a)}
     inputs.update({f"group_b_{i}": p for i, p in enumerate(args.group_b)})
-    meta = _meta("group-compare", args, inputs, summary)
-    write_json(out / "meta.json", meta)
-    return 0
+    return inputs, summary, True
 
 
 def _grid_cell(payload):
     features_path, dist_path, hyper, threshold = payload
     features = read_features_csv(features_path)
-    dist = None
-    if dist_path is not None:
-        values, _ = read_square_csv(dist_path, name="distance matrix")
-        dist = DistanceMatrix(values)
-    result = bca_fit(features, dist=dist, hyper=hyper)
     n = features.n_nodes
+    dist = _load_distances(dist_path, hyper.e, n)
+    result = bca_fit(features, dist=dist, hyper=hyper)
     edges = _edge_count(result.theta, threshold)
     total = n * (n - 1) // 2
     return {
@@ -330,12 +306,13 @@ def _grid_cell(payload):
         "edge_pct": 100.0 * edges / total,
         "converged": result.converged,
         "outer_iterations": result.outer_iterations,
-        "objective": result.objective_trace[-1],
+        "objective": float(result.objective_trace[-1]),
     }
 
 
-def cmd_grid(args) -> int:
-    out = _out_dir(args)
+def cmd_grid(args, out):
+    if args.jobs < 1:
+        raise CoreglassoError(f"--jobs must be at least 1, got {args.jobs}")
     lambdas = _floats(args.lambdas, "--lambdas")
     es = _floats(args.es, "--es") if args.es else [args.e]
     if not lambdas or not es:
@@ -354,11 +331,9 @@ def cmd_grid(args) -> int:
     _write_rows(out / "grid.csv", (
         [int(v) if isinstance(v, bool) else v for v in row.values()] for row in results
     ), header=list(results[0]))
-    meta = _meta("grid", args, {
-        "features": args.features, "distances": args.distances,
-    }, {"cells": results})
-    write_json(out / "meta.json", meta)
-    return 0 if all(r["converged"] for r in results) else 2
+    return {"features": args.features, "distances": args.distances}, {
+        "cells": results,
+    }, all(r["converged"] for r in results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,16 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, write its ``meta.json`` and return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CoreglassoError as exc:
+        out = _out_dir(args)
+        inputs, extra, complete = args.func(args, out)
+        write_json(out / "meta.json", _meta(args, inputs, extra))
+    except (CoreglassoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if complete else 2
 
 
 if __name__ == "__main__":

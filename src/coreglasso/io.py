@@ -1,6 +1,7 @@
 """File formats of the command-line tool.
 
-All files are UTF-8 with LF line endings and '.' decimal separators.
+All files are UTF-8 with LF line endings and '.' decimal separators; a
+byte-order mark on an input file is skipped.
 Features are CSV with nodes on rows and samples on columns; a header row
 of sample IDs and a first column of node labels are auto-detected.
 Square matrices (adjacency, distances, precision) use the same CSV
@@ -52,7 +53,7 @@ def read_table_csv(path):
     non-numeric cell is a label column.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not rows:
         raise InputError(f"{path}:1: empty file")
@@ -111,7 +112,7 @@ def read_square_csv(path, name="matrix"):
 def read_scores_json(path) -> CoreScores:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     try:
@@ -126,21 +127,22 @@ def read_scores_json(path) -> CoreScores:
 
 
 def _write_rows(path, rows, header=None, sep=",") -> None:
-    """The one table writer: UTF-8, LF, floats as ``repr(float(x))``."""
-    def cell(x):
-        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+    """The one table writer: UTF-8, LF, every cell as ``str(x)``.
 
+    Callers hand in Python scalars (``.tolist()``), so a float is written
+    as its shortest round-trip ``repr``.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header is not None:
             fh.write(sep.join(header) + "\n")
         for row in rows:
-            fh.write(sep.join(map(cell, row)) + "\n")
+            fh.write(sep.join(map(str, row)) + "\n")
 
 
 def write_matrix_csv(path, values, labels=None) -> None:
     rows = np.asarray(values, dtype=float).tolist()
     if labels is not None:
-        rows = ([str(labels[i]), *row] for i, row in enumerate(rows))
+        rows = ([labels[i], *row] for i, row in enumerate(rows))
     _write_rows(path, rows)
 
 
@@ -162,7 +164,7 @@ def write_edges_tsv(path, theta, threshold: float = 0.0) -> None:
 
 def write_trace_csv(path, trace) -> None:
     _write_rows(path, (
-        (idx // 2 + 1, "graph" if idx % 2 == 0 else "scores", value)
+        (idx // 2 + 1, "graph" if idx % 2 == 0 else "scores", float(value))
         for idx, value in enumerate(trace)
     ), header=("outer_iter", "half_step", "objective"))
 

@@ -10,7 +10,7 @@ construction, and the joint MAP objective that the block solver ascends.
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InputError, NotPositiveDefiniteError
 
@@ -188,7 +188,7 @@ class Precision:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Solver hyperparameters.
+    """Solver hyperparameters; every numeric field must be finite.
 
     Attributes
     ----------
@@ -217,6 +217,10 @@ class Hyperparams:
     ridge: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.lam > 0:
             raise ConfigError("lambda must be positive")
         if self.e < 0:

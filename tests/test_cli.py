@@ -58,12 +58,17 @@ class TestFit:
         assert "sha256" in meta["inputs"]["features"]
 
     def test_missing_distances_with_coupling(self, tmp_path, capsys):
-        code = main([
-            "fit", "--features", str(FIXTURE / "features.csv"),
-            "--e", "0.09", "--out", str(tmp_path / "o"),
-        ])
-        assert code == 1
-        assert "--distances" in capsys.readouterr().err
+        for flags, message in (
+            (["--e", "0.09"], "--distances"),
+            # An infinite penalty would run to the outer cap and write NaN.
+            (["--lambda", "inf"], "lam must be finite"),
+        ):
+            code = main([
+                "fit", "--features", str(FIXTURE / "features.csv"),
+                *flags, "--out", str(tmp_path / "o"),
+            ])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_malformed_features(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -327,6 +332,9 @@ class TestGrid:
             (["--lambdas", ""], "empty grid"),
             (["--lambdas", "0.1,abc"], "--lambdas expects a comma list"),
             (["--lambdas", "0.1", "--es", "0,x"], "--es expects a comma list"),
+            (["--lambdas", "0.1,inf"], "lam must be finite"),
+            (["--lambdas", "0.1", "--jobs", "0"], "--jobs must be at least 1"),
+            (["--lambdas", "0.1", "--es", "0.09"], "--e > 0 requires --distances"),
         ):
             code = main([
                 "grid", "--features", str(FIXTURE / "features.csv"),
@@ -372,3 +380,42 @@ class TestGrid:
         assert main(base + ["--out", str(serial)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert (serial / "grid.csv").read_bytes() == (parallel / "grid.csv").read_bytes()
+
+
+def _contract_runs(tmp_path):
+    """Per subcommand: flags of a run that finishes, and of one that fails."""
+    features = str(FIXTURE / "features.csv")
+    star = str(star_csv(tmp_path / "star.csv"))
+    scores = tmp_path / "c.json"
+    scores.write_text(json.dumps({"values": [0.5, 0.25, 0.25], "M": 1.0}))
+    missing = str(tmp_path / "nope.csv")
+    return {
+        "fit": (["--features", features, "--bca-max-iter", "2"],
+                ["--features", missing]),
+        "scores-from-graph": (["--graph", star], ["--graph", missing]),
+        "glasso": (["--features", features], ["--features", missing]),
+        "sample": (["--n", "8", "--d", "40"], ["--n", "8", "--d", "0"]),
+        "eval": (["--truth", star, "--estimate", star, "--baselines", "kcores"],
+                 ["--truth", missing, "--estimate", star]),
+        "group-compare": (["--group-a", str(scores), "--group-b", str(scores), "--k", "1"],
+                          ["--group-a", missing, "--group-b", str(scores)]),
+        "grid": (["--features", features, "--lambdas", "0.1", "--bca-max-iter", "2"],
+                 ["--features", missing, "--lambdas", "0.1"]),
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "fit", "scores-from-graph", "glasso", "sample", "eval", "group-compare", "grid",
+])
+def test_meta_json_contract(tmp_path, capsys, command):
+    ok, failing = _contract_runs(tmp_path)[command]
+    out = tmp_path / "ok"
+    assert main([command, *ok, "--out", str(out)]) in (0, 2)
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["command"] == command
+    assert {"version", "parameters", "inputs"} <= meta.keys()
+
+    out = tmp_path / "failing"
+    assert main([command, *failing, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "meta.json").exists()

@@ -17,10 +17,13 @@ from coreglasso.io import (
 class TestReadTable:
     def test_plain_numeric(self, tmp_path):
         p = tmp_path / "x.csv"
-        p.write_text("1.0,2.0\n3.0,4.0\n")
-        values, row_labels, col_labels = read_table_csv(p)
-        np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
-        assert row_labels is None and col_labels is None
+        # The second file starts with a UTF-8 byte-order mark, as Excel
+        # writes "CSV UTF-8"; it must not turn the first column into labels.
+        for raw in (b"1.0,2.0\n3.0,4.0\n", b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n"):
+            p.write_bytes(raw)
+            values, row_labels, col_labels = read_table_csv(p)
+            np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
+            assert row_labels is None and col_labels is None
 
     def test_header_detected(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -92,9 +95,12 @@ class TestScoresJson:
         scores = CoreScores(np.array([0.5, 0.25, 0.25]), budget=1.0)
         p = tmp_path / "c.json"
         write_scores_json(p, scores, labels=["a", "b", "c"])
-        back = read_scores_json(p)
-        np.testing.assert_array_equal(back.values, scores.values)
-        assert back.budget == 1.0
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        for path in (p, bom):
+            back = read_scores_json(path)
+            np.testing.assert_array_equal(back.values, scores.values)
+            assert back.budget == 1.0
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "c.json"
@@ -133,6 +139,27 @@ class TestWriters:
         write_matrix_csv(p, m)
         values, _, _ = read_table_csv(p)
         np.testing.assert_array_equal(values, m)
+
+    def test_cells_golden_bytes(self, tmp_path):
+        # Every cell is str() of a Python scalar: floats in their shortest
+        # round-trip repr, ints as integers.
+        values = [0.1, 1 / 3, 1e-05, 1e16, -0.0, 5e-324]
+        p = tmp_path / "m.csv"
+        write_matrix_csv(p, [values[:3], values[3:]], labels=["a", 7])
+        assert p.read_bytes() == (
+            b"a,0.1,0.3333333333333333,1e-05\n"
+            b"7,1e+16,-0.0,5e-324\n"
+        )
+        theta = np.array([[1.0, 0.1, 1e16], [0.1, 1.0, 5e-324], [1e16, 5e-324, 1.0]])
+        write_edges_tsv(p, theta)
+        assert p.read_bytes() == (
+            b"i\tj\ttheta\n0\t1\t0.1\n0\t2\t1e+16\n1\t2\t5e-324\n"
+        )
+        write_trace_csv(p, [1 / 3, 1e-05, np.float64(-0.0)])
+        assert p.read_bytes() == (
+            b"outer_iter,half_step,objective\n"
+            b"1,graph,0.3333333333333333\n1,scores,1e-05\n2,graph,-0.0\n"
+        )
 
     def test_lf_line_endings(self, tmp_path):
         p = tmp_path / "m.csv"

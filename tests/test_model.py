@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,14 @@ class TestTypes:
         assert h.resolve_budget(16) == 2.0
         with pytest.raises(ConfigError):
             Hyperparams(lam=0.1, M=10.0).resolve_budget(4)
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(Hyperparams) if f.type in (float, float | None)
+    ])
+    def test_hyperparams_reject_infinite(self, name):
+        fields = {"lam": 0.1, name: float("inf")}
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            Hyperparams(**fields)
 
 
 class TestEmpiricalCovariance:
