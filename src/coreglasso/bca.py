@@ -146,8 +146,7 @@ def fit(X, dist: DistanceMatrix | None = None,
         abs_theta = np.abs(theta.values)
         lp = core_score_lp(
             abs_theta, dist, hyper.e, budget,
-            eps_w=hyper.eps_w, lp_tol=hyper.lp_tol,
-            include_diagonal=False,
+            eps_w=hyper.eps_w, include_diagonal=False,
         )
         c = lp.c
         # Only the penalty term depends on c; the new weights are the

@@ -44,8 +44,10 @@ from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
 _HYPER_NAMES = tuple(f.name for f in dataclasses.fields(Hyperparams))
-# grid takes lambda from --lambdas, so it has no --lambda flag.
-_GRID_HYPER_NAMES = tuple(name for name in _HYPER_NAMES if name != "lam")
+# The fields a single graph step (glasso) reads.
+_GRAPH_STEP_NAMES = ("lam", "e", "eps_w", "glasso_tol", "glasso_max_iter", "ridge")
+# grid takes lambda from --lambdas and e from --es, so it has neither flag.
+_GRID_HYPER_NAMES = tuple(name for name in _HYPER_NAMES if name not in ("lam", "e"))
 _HYPER_HELP = {
     "lam": "penalty scale (default %(default)s)",
     "e": "distance coupling; requires --distances when > 0",
@@ -54,7 +56,8 @@ _HYPER_HELP = {
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    return Hyperparams(**{name: getattr(args, name) for name in _HYPER_NAMES})
+    """Hyperparams from the flags the subcommand has; other fields keep their defaults."""
+    return Hyperparams(**{n: getattr(args, n) for n in _HYPER_NAMES if hasattr(args, n)})
 
 
 def _add_hyper_flags(p, names=_HYPER_NAMES):
@@ -162,10 +165,7 @@ def cmd_scores_from_graph(args, out):
     n = adjacency.shape[0]
     dist = _load_distances(args.distances, args.e, n)
     budget = default_budget(n) if args.M is None else args.M
-    result = scores_from_graph(
-        adjacency, dist=dist, e=args.e, M=budget,
-        eps_w=args.eps_w, lp_tol=args.lp_tol,
-    )
+    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget, eps_w=args.eps_w)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     return {"graph": args.graph, "distances": args.distances}, {
         "resolved_M": budget,
@@ -314,7 +314,7 @@ def cmd_grid(args, out):
     if args.jobs < 1:
         raise CoreglassoError(f"--jobs must be at least 1, got {args.jobs}")
     lambdas = _floats(args.lambdas, "--lambdas")
-    es = _floats(args.es, "--es") if args.es else [args.e]
+    es = _floats(args.es, "--es")
     if not lambdas or not es:
         raise CoreglassoError("empty grid: no lambda or e values")
     base = Hyperparams(lam=lambdas[0], **{k: getattr(args, k) for k in _GRID_HYPER_NAMES})
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="adjacency CSV")
     p.add_argument("--distances")
     p.add_argument("--out")
-    _add_hyper_flags(p, ("e", "M", "eps_w", "lp_tol"))
+    _add_hyper_flags(p, ("e", "M", "eps_w"))
     p.set_defaults(func=cmd_scores_from_graph)
 
     p = sub.add_parser("glasso", help="single weighted graphical lasso solve")
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distances")
     p.add_argument("--out")
     p.add_argument("--threshold", type=float, default=0.0)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, _GRAPH_STEP_NAMES)
     p.set_defaults(func=cmd_glasso)
 
     p = sub.add_parser("sample", help="sample a planted synthetic instance")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--distances")
     p.add_argument("--lambdas", required=True, help="comma list of lambda values")
-    p.add_argument("--es", default=None, help="comma list of e values")
+    p.add_argument("--es", default="0", help="comma list of e values (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--threshold", type=float, default=0.0)

@@ -15,7 +15,7 @@ goes to the HiGHS dual simplex with the gains divided by ``max|g|``, so
 the step does not depend on the units of the data.  Unless the optimum
 is unique, a second solve over the optimal face breaks ties towards the
 lowest node index.  The returned scores are certified against the first
-solve's dual bound, relative to ``max|g| * M``.
+solve's dual bound, relative to ``max|g| * M``, to ``LP_TOL``.
 """
 
 import numpy as np
@@ -24,10 +24,13 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds
+from .model import EPS_W, CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
+
+# Largest accepted duality gap of the score LP, relative to max|g| * M.
+LP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,12 @@ class LpResult:
     iterations: int
 
 
-def _solve(gains, bounds, mass, lp_tol):
+def _solve(gains, bounds, mass):
     """Maximize ``gains @ c`` over the full program; returns (c, iterations).
 
     ``mass`` None drops the budget row and the tie-break re-solve.  Raises
     :class:`InfeasibleError` when the polytope is empty and
-    :class:`NumericalError` when the certified relative gap exceeds ``lp_tol``.
+    :class:`NumericalError` when the certified relative gap exceeds ``LP_TOL``.
     """
     n = gains.shape[0]
     iu, ju = np.triu_indices(n, k=1)
@@ -65,28 +68,28 @@ def _solve(gains, bounds, mass, lp_tol):
     scale = float(np.abs(gains).max())
     g = gains / scale if scale > 0 else np.zeros(n)
 
-    first = simplex_solve(-g, rows, b_rows, a_eq, b_eq, bounds=(0.0, 1.0))
-    if first.status != "optimal":  # the box rules out "unbounded"
+    first = simplex_solve(-g, rows, b_rows, a_eq, b_eq)
+    if first.status != "optimal":
         raise InfeasibleError("core-score polytope is empty")
     c, iterations = first.x, first.pivots
     if mass is not None and not first.unique:
         # Among the optimal scores (g @ c = f*), prefer mass on low node indices.
         second = simplex_solve(-np.arange(n, 0, -1.0), rows, b_rows, np.vstack([a_eq, g]),
-                               np.append(b_eq, -first.objective), bounds=(0.0, 1.0))
+                               np.append(b_eq, -first.objective))
         if second.status != "optimal":
             raise NumericalError(f"tie-break LP status {second.status}")
         c, iterations = second.x, iterations + second.pivots
     # -objective + dual_gap bounds every feasible g @ c from above, whatever
     # the sign of the first solve's primal-dual difference.
     gap = (first.dual_gap - first.objective - g @ c) / (n if mass is None else mass)
-    if not gap <= lp_tol:
+    if not gap <= LP_TOL:
         raise NumericalError(
-            f"LP relative duality gap {gap:.3e} above tolerance {lp_tol:.3e}"
+            f"LP relative duality gap {gap:.3e} above tolerance {LP_TOL:.3e}"
         )
     return c, iterations
 
 
-def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = 1e-3) -> float:
+def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
     """Largest feasible total core mass for the pairwise-bounded polytope."""
     bounds = pair_bounds(n, dist, e, eps_w)
     if np.min(bounds) < 0:
@@ -99,13 +102,12 @@ def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = 1e-3) -> flo
         # Uniform bound b: summing c_i + c_j <= b over all pairs gives
         # sum(c) <= n b / 2, attained at c = b/2 (b < 2 always).
         return n * (1.0 - eps_w) / 2.0
-    c, _ = _solve(np.ones(n), bounds, None, lp_tol=1e-9)
+    c, _ = _solve(np.ones(n), bounds, None)
     return float(c.sum())
 
 
 def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
-                  eps_w: float = 1e-3, lp_tol: float = 1e-9,
-                  include_diagonal: bool = True) -> LpResult:
+                  eps_w: float = EPS_W, include_diagonal: bool = True) -> LpResult:
     """Solve the core-score linear program for given edge magnitudes.
 
     Parameters
@@ -115,7 +117,6 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     dist, e : spatial distances and their coupling strength.
     M : total core mass; must lie in (0, N] and within the polytope.
     eps_w : slack closing the strict pairwise inequality.
-    lp_tol : duality-gap certificate tolerance, relative to ``max|g| * M``.
     include_diagonal : bool
         Whether |T_ii| contributes to the gain of node i (the literal
         double-sum reading).  Zero-diagonal inputs are unaffected.
@@ -139,7 +140,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     bounds = pair_bounds(n, dist, e, eps_w)
 
     try:
-        c, iterations = _solve(gains, bounds, M, lp_tol)
+        c, iterations = _solve(gains, bounds, M)
     except InfeasibleError:
         cap = max_core_mass(n, dist, e, eps_w)
         raise InfeasibleError(
@@ -162,7 +163,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
 
 
 def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float = 1.0,
-                      eps_w: float = 1e-3, lp_tol: float = 1e-9) -> LpResult:
+                      eps_w: float = EPS_W) -> LpResult:
     """Estimate core scores for a known graph.
 
     Identical to :func:`core_score_lp` with the adjacency matrix playing
@@ -170,4 +171,4 @@ def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float = 1.0,
     nonnegative entries.
     """
     a = _check_adjacency(adjacency)
-    return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w, lp_tol=lp_tol)
+    return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w)

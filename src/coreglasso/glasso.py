@@ -23,10 +23,9 @@ per sweep, which also guards against loss of positive definiteness.
 import numpy as np
 
 from dataclasses import dataclass
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
-from .model import Precision, WeightMatrix, _check_square_symmetric
+from .model import Precision, WeightMatrix, _check_square_symmetric, _inverse_logdet
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -62,15 +61,11 @@ def _weights_array(W, n: int) -> np.ndarray:
 def _refresh_inverse(theta: np.ndarray, sweep: int):
     """Exact inverse and log-determinant from a fresh Cholesky factor."""
     try:
-        factor = cho_factor(theta, lower=True)
-    except np.linalg.LinAlgError:
+        return _inverse_logdet(theta, "theta")
+    except NotPositiveDefiniteError:
         raise NumericalError(
             f"positive definiteness lost at sweep {sweep}: Cholesky failed"
         ) from None
-    inv = cho_solve(factor, np.eye(theta.shape[0]))
-    inv = 0.5 * (inv + inv.T)
-    logdet = 2.0 * float(np.log(np.diag(factor[0])).sum())
-    return inv, logdet
 
 
 def _pair_candidates(th_ij, b_ii, b_jj, b_ij, s_ij, rho):
@@ -259,12 +254,7 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     s = _check_square_symmetric(S, "covariance")
     rho = lam * _weights_array(W, n)
     np.fill_diagonal(rho, 0.0)
-    try:
-        factor = cho_factor(tv, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("theta is not positive definite") from None
-    inv = cho_solve(factor, np.eye(n))
-    inv = 0.5 * (inv + inv.T)
+    inv, _ = _inverse_logdet(tv, "theta")
     return _kkt_from_inverse(tv, inv, s, rho)
 
 

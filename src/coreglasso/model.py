@@ -11,6 +11,7 @@ construction, and the joint MAP objective that the block solver ascends.
 import numpy as np
 
 from dataclasses import dataclass, fields
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError, NotPositiveDefiniteError
 
@@ -21,6 +22,7 @@ __all__ = [
     "WeightMatrix",
     "Precision",
     "Hyperparams",
+    "EPS_W",
     "default_budget",
     "empirical_covariance",
     "pair_bounds",
@@ -29,6 +31,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-8
+# Floor of the penalty weights and slack of the pairwise score bound.
+EPS_W = 1e-3
 
 
 def _frozen(values, dtype=float):
@@ -197,8 +201,6 @@ class Hyperparams:
     M : core-mass budget; None resolves to N/8 at fit time.
     eps_w : strict-positivity floor for penalty weights.
     glasso_tol : KKT max-norm tolerance of the graph subproblem.
-    lp_tol : duality-gap tolerance of the core-score subproblem, relative
-        to ``max|g| * M`` (largest gain times the core budget).
     bca_rel_tol : relative objective-increase threshold of the outer loop.
     bca_max_iter : outer iteration cap.
     glasso_max_iter : sweep cap of the graph subproblem.
@@ -208,9 +210,8 @@ class Hyperparams:
     lam: float
     e: float = 0.0
     M: float | None = None
-    eps_w: float = 1e-3
+    eps_w: float = EPS_W
     glasso_tol: float = 1e-5
-    lp_tol: float = 1e-9
     bca_rel_tol: float = 1e-5
     bca_max_iter: int = 50
     glasso_max_iter: int = 1000
@@ -229,7 +230,7 @@ class Hyperparams:
             raise ConfigError("core budget M must be positive")
         if not self.eps_w > 0:
             raise ConfigError("weight floor eps_w must be positive")
-        for name in ("glasso_tol", "lp_tol", "bca_rel_tol"):
+        for name in ("glasso_tol", "bca_rel_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("bca_max_iter", "glasso_max_iter"):
@@ -291,7 +292,7 @@ def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
 
 
 def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
-                eps_w: float = 1e-3) -> np.ndarray:
+                eps_w: float = EPS_W) -> np.ndarray:
     """Upper bounds ``1 - eps_w + e*log(d_ij)`` on ``c_i + c_j``, as a matrix.
 
     The diagonal is ``inf`` (no bound).  When ``e > 0`` the distance
@@ -319,7 +320,7 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
 
 
 def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
-                    eps_w: float = 1e-3) -> WeightMatrix:
+                    eps_w: float = EPS_W) -> WeightMatrix:
     """Per-edge penalty weights ``max(eps_w, 1 - c_i - c_j + e*log(d_ij))``.
 
     The weight is the slack of the pairwise bound of :func:`pair_bounds`
@@ -332,14 +333,15 @@ def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
     return WeightMatrix(w)
 
 
-def _logdet_pd(theta: np.ndarray) -> float:
+def _inverse_logdet(v: np.ndarray, name: str):
+    """``(inverse, log det)`` of ``v`` from one Cholesky factor; the inverse
+    is exactly symmetric.  Raises :class:`NotPositiveDefiniteError`."""
     try:
-        chol = np.linalg.cholesky(theta)
+        factor = cho_factor(v, lower=True)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "log det undefined: matrix is not positive definite"
-        ) from None
-    return 2.0 * float(np.log(np.diag(chol)).sum())
+        raise NotPositiveDefiniteError(f"{name} is not positive definite") from None
+    inv = cho_solve(factor, np.eye(v.shape[0]))
+    return 0.5 * (inv + inv.T), 2.0 * float(np.log(np.diag(factor[0])).sum())
 
 
 def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
@@ -351,7 +353,7 @@ def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
     the given core scores.
     """
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
-    logdet = _logdet_pd(tv)
+    _, logdet = _inverse_logdet(tv, "theta")
     w = compute_weights(c, dist, hyper.e, hyper.eps_w).values
     penalty = hyper.lam * float((w * np.abs(tv)).sum())
     return logdet - float((S * tv).sum()) - penalty

@@ -6,12 +6,14 @@ Thin adapter over ``scipy.optimize.linprog(method="highs-ds")`` (Huangfu
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
                 A_eq @ x == b_eq
-                lower <= x <= upper
+                0 <= x <= 1
 
-The constraint matrices may be dense or scipy-sparse.  HiGHS is
-deterministic, so equal inputs give the same vertex on every run.  The
-result carries a duality-gap certificate computed from the HiGHS
-marginals, and a flag that certifies the optimum as unique.
+The box is fixed: core scores live in [0, 1], and the box keeps every
+program bounded, so a solve ends optimal or infeasible.  The constraint
+matrices may be dense or scipy-sparse.  HiGHS is deterministic, so equal
+inputs give the same vertex on every run.  The result carries a
+duality-gap certificate computed from the HiGHS marginals, and a flag
+that certifies the optimum as unique.
 """
 
 import numpy as np
@@ -24,12 +26,10 @@ from .errors import NumericalError
 
 __all__ = ["SimplexResult", "simplex_solve"]
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray | None
     objective: float
     dual_gap: float
@@ -37,29 +37,24 @@ class SimplexResult:
     unique: bool = False  # x is certified to be the only optimum
 
 
-def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                  bounds=(0.0, None)) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq`` and a box.
+def simplex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> SimplexResult:
+    """Minimize ``c @ x`` subject to the rows and the box ``0 <= x <= 1``.
 
-    ``bounds`` is one scalar ``(lower, upper)`` pair applied to every
-    variable; ``None`` leaves that side unbounded.  Raises
+    The rows are ``A_ub x <= b_ub`` and ``A_eq x == b_eq``.  Raises
     :class:`NumericalError` when HiGHS stops for any reason other than
-    optimality, infeasibility or unboundedness.
+    optimality or infeasibility.
     """
     c = np.asarray(c, dtype=float)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs-ds")
-    status = _STATUS.get(res.status)
-    if status is None:
+                  bounds=(0.0, 1.0), method="highs-ds")
+    if res.status == 2:
+        return SimplexResult("infeasible", None, np.nan, np.nan, int(res.nit))
+    if res.status != 0:
         raise NumericalError(f"HiGHS stopped with status {res.status}: {res.message}")
-    if status != "optimal":
-        objective = -np.inf if status == "unbounded" else np.nan
-        return SimplexResult(status, None, objective, np.nan, int(res.nit))
 
-    # Dual objective b^T y over the rows and the box; an open side of the
-    # box has zero marginals, so it contributes nothing.
-    lower, upper = (0.0 if b is None else b for b in bounds)
-    dual = lower * res.lower.marginals.sum() + upper * res.upper.marginals.sum()
+    # Dual objective b^T y over the rows and the box; the lower side of the
+    # box is 0, so only the upper side's marginals contribute.
+    dual = float(res.upper.marginals.sum())
     if b_ub is not None:
         dual += float(np.asarray(b_ub, dtype=float).ravel() @ res.ineqlin.marginals)
     if b_eq is not None:

@@ -14,7 +14,6 @@ block) is part of the determinism contract and must not change.
 import numpy as np
 
 from dataclasses import dataclass
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError
 from .model import (
@@ -22,6 +21,7 @@ from .model import (
     DistanceMatrix,
     FeatureMatrix,
     Precision,
+    _inverse_logdet,
     compute_weights,
     default_budget,
 )
@@ -48,6 +48,8 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     share the leftover mass uniformly so the total equals ``budget``
     (default ``n/8``).
     """
+    if n < 2:
+        raise InputError(f"need at least 2 nodes, got {n}")
     if not 0 <= core_frac <= 1:
         raise InputError("core_frac must lie in [0, 1]")
     m = default_budget(n) if budget is None else float(budget)
@@ -74,24 +76,28 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     ----------
     n, d : graph size and number of attribute samples.
     c_true : planted core scores.
-    lam : Laplace prior scale parameter; entry (i, j) has expected
+    lam : finite, positive Laplace prior scale; entry (i, j) has expected
         magnitude ``1/(lam * w_ij)``.
     e, dist : distance coupling, as in the weight construction.
-    sparsify_at : magnitude below which drawn entries are zeroed; None
-        uses the 30th percentile of the drawn magnitudes so the planted
-        support is unambiguous.
+    sparsify_at : magnitude below which drawn entries are zeroed (finite,
+        nonnegative); None uses the 30th percentile of the drawn
+        magnitudes so the planted support is unambiguous.
     pd_margin : diagonal-dominance margin added to the row sums; must be
-        positive.
+        finite and positive.
     seed : RNG seed; fixed seed gives a byte-identical instance.
     """
+    if n < 2:
+        raise InputError(f"need at least 2 nodes, got {n}")
     if len(c_true) != n:
         raise InputError(f"c_true has {len(c_true)} entries for n={n}")
     if d < 1:
         raise InputError("need at least one sample column")
-    if not lam > 0:
-        raise InputError("lambda must be positive")
-    if not pd_margin > 0:
-        raise ConfigError("pd_margin must be positive")
+    if not 0 < lam < np.inf:
+        raise InputError(f"lambda must be finite and positive, got {lam}")
+    if not 0 < pd_margin < np.inf:
+        raise ConfigError(f"pd_margin must be finite and positive, got {pd_margin}")
+    if sparsify_at is not None and not 0 <= sparsify_at < np.inf:
+        raise ConfigError(f"sparsify_at must be finite and nonnegative, got {sparsify_at}")
 
     rng = np.random.default_rng(seed)
     w = compute_weights(c_true, dist, e).values
@@ -110,9 +116,7 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     theta += theta.T
     theta[np.diag_indices(n)] = np.abs(theta).sum(axis=1) + pd_margin
 
-    factor = cho_factor(theta, lower=True)
-    sigma = cho_solve(factor, np.eye(n))
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma, _ = _inverse_logdet(theta, "planted precision")
     chol = np.linalg.cholesky(sigma)
     X = chol @ rng.standard_normal((n, d))
 

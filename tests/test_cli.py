@@ -167,6 +167,10 @@ class TestGlasso:
         assert theta.shape == (30, 30)
         meta = json.loads((out / "meta.json").read_text())
         assert meta["kkt_residual"] <= 1e-5
+        # Only the fields the graph step reads, plus the edge threshold.
+        assert set(meta["parameters"]) == {
+            "lam", "e", "eps_w", "glasso_tol", "glasso_max_iter", "ridge", "threshold",
+        }
 
     def test_scores_violating_pairwise_bound_rejected(self, tmp_path, capsys):
         values = [0.75, 0.75] + [0.0] * 28
@@ -343,9 +347,10 @@ class TestGrid:
             assert code == 1
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--lambda", "0.05"], ["--seed", "1"]], ids=["lambda", "seed"])
+    @pytest.mark.parametrize("flag", [["--lambda", "0.05"], ["--seed", "1"], ["--e", "0.09"]],
+                             ids=["lambda", "seed", "e"])
     def test_fit_only_flags_rejected(self, tmp_path, capsys, flag):
-        # Cells take lambda from --lambdas, and a fit uses no seed.
+        # Cells take lambda from --lambdas and e from --es, and a fit uses no seed.
         with pytest.raises(SystemExit) as exc:
             main([
                 "grid", "--features", str(FIXTURE / "features.csv"),
@@ -382,8 +387,22 @@ class TestGrid:
         assert (serial / "grid.csv").read_bytes() == (parallel / "grid.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("fit", ["--lp-tol", "1e-6"]),
+    ("glasso", ["--bca-max-iter", "1"]),
+    ("glasso", ["--M", "1"]),
+], ids=["fit-lp-tol", "glasso-bca-max-iter", "glasso-M"])
+def test_unused_flags_rejected(tmp_path, capsys, command, flag):
+    # A flag the command would not apply does not exist.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--features", str(FIXTURE / "features.csv"), *flag,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 def _contract_runs(tmp_path):
-    """Per subcommand: flags of a run that finishes, and of one that fails."""
+    """Per subcommand: flags of a run that finishes, and of runs that fail."""
     features = str(FIXTURE / "features.csv")
     star = str(star_csv(tmp_path / "star.csv"))
     scores = tmp_path / "c.json"
@@ -391,16 +410,24 @@ def _contract_runs(tmp_path):
     missing = str(tmp_path / "nope.csv")
     return {
         "fit": (["--features", features, "--bca-max-iter", "2"],
-                ["--features", missing]),
-        "scores-from-graph": (["--graph", star], ["--graph", missing]),
-        "glasso": (["--features", features], ["--features", missing]),
-        "sample": (["--n", "8", "--d", "40"], ["--n", "8", "--d", "0"]),
+                [["--features", missing]]),
+        "scores-from-graph": (["--graph", star], [["--graph", missing]]),
+        "glasso": (["--features", features], [["--features", missing]]),
+        "sample": (["--n", "8", "--d", "40"], [
+            ["--n", "8", "--d", "0"],
+            ["--n", "1", "--d", "5"],
+            ["--n", "0", "--d", "5"],
+            ["--n", "-2", "--d", "5"],
+            ["--n", "8", "--d", "5", "--lambda", "inf"],
+            ["--n", "8", "--d", "5", "--pd-margin", "inf"],
+            ["--n", "8", "--d", "5", "--sparsify-at", "nan"],
+        ]),
         "eval": (["--truth", star, "--estimate", star, "--baselines", "kcores"],
-                 ["--truth", missing, "--estimate", star]),
+                 [["--truth", missing, "--estimate", star]]),
         "group-compare": (["--group-a", str(scores), "--group-b", str(scores), "--k", "1"],
-                          ["--group-a", missing, "--group-b", str(scores)]),
+                          [["--group-a", missing, "--group-b", str(scores)]]),
         "grid": (["--features", features, "--lambdas", "0.1", "--bca-max-iter", "2"],
-                 ["--features", missing, "--lambdas", "0.1"]),
+                 [["--features", missing, "--lambdas", "0.1"]]),
     }
 
 
@@ -415,7 +442,8 @@ def test_meta_json_contract(tmp_path, capsys, command):
     assert meta["command"] == command
     assert {"version", "parameters", "inputs"} <= meta.keys()
 
-    out = tmp_path / "failing"
-    assert main([command, *failing, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "meta.json").exists()
+    for flags in failing:
+        out = tmp_path / "failing"
+        assert main([command, *flags, "--out", str(out)]) == 1, flags
+        assert capsys.readouterr().err.startswith("error: "), flags
+        assert not (out / "meta.json").exists()

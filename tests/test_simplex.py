@@ -16,14 +16,17 @@ class TestKnownPrograms:
         assert res.objective == pytest.approx(-1.0)
 
     def test_equality_only(self):
+        # The cheaper x fills its box side, y takes the rest.
         res = simplex_solve(np.array([1.0, 2.0]), a_eq=np.array([[1.0, 1.0]]),
-                            b_eq=np.array([3.0]))
+                            b_eq=np.array([1.5]))
         assert res.status == "optimal"
-        np.testing.assert_allclose(res.x, [3.0, 0.0])
+        np.testing.assert_allclose(res.x, [1.0, 0.5])
 
-    def test_unbounded(self):
-        res = simplex_solve(np.array([-1.0, 0.0]))
-        assert res.status == "unbounded"
+    def test_box_bounds_every_program(self):
+        # Without rows, the box alone fixes the optimum at its corner.
+        res = simplex_solve(np.array([-1.0, 0.5]))
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x, [1.0, 0.0])
 
     def test_infeasible(self):
         res = simplex_solve(
@@ -43,11 +46,11 @@ class TestKnownPrograms:
         assert res.objective == pytest.approx(1.0)
 
     def test_negative_rhs(self):
-        # x >= 2 written as -x <= -2
+        # x >= 0.5 written as -x <= -0.5
         res = simplex_solve(np.array([1.0]), a_ub=np.array([[-1.0]]),
-                            b_ub=np.array([-2.0]))
+                            b_ub=np.array([-0.5]))
         assert res.status == "optimal"
-        assert res.x[0] == pytest.approx(2.0)
+        assert res.x[0] == pytest.approx(0.5)
 
     def test_determinism(self):
         c = np.array([-1.0, -1.0, -1.0])
@@ -69,25 +72,23 @@ class TestAgainstScipy:
             m_ub = int(rng.integers(0, 6))
             m_eq = int(rng.integers(0, 3))
             c = rng.standard_normal(n)
-            x0 = rng.uniform(0, 2, n)
+            x0 = rng.uniform(0, 1, n)
             a_ub = rng.standard_normal((m_ub, n)) if m_ub else None
             b_ub = a_ub @ x0 + rng.uniform(0, 1, m_ub) if m_ub else None
             a_eq = rng.standard_normal((m_eq, n)) if m_eq else None
             b_eq = a_eq @ x0 if m_eq else None
-            bound_row = np.ones((1, n))
-            a_ub2 = bound_row if a_ub is None else np.vstack([a_ub, bound_row])
-            b_ub2 = (np.array([50.0]) if b_ub is None
-                     else np.concatenate([b_ub, [50.0]]))
-            got = simplex_solve(c, a_ub2, b_ub2, a_eq, b_eq)
-            ref = linprog(c, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq, b_eq=b_eq,
-                          method="highs")
+            got = simplex_solve(c, a_ub, b_ub, a_eq, b_eq)
+            ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          bounds=(0.0, 1.0), method="highs")
             if got.status == "optimal":
                 assert ref.status == 0
                 if abs(got.objective - ref.fun) > 1e-7 * max(1, abs(ref.fun)):
                     mismatches += 1
                 assert got.dual_gap <= 1e-7
-                assert np.all(a_ub2 @ got.x <= b_ub2 + 1e-8)
+                if a_ub is not None:
+                    assert np.all(a_ub @ got.x <= b_ub + 1e-8)
                 assert got.x.min() >= -1e-12
+                assert got.x.max() <= 1.0 + 1e-12
                 if a_eq is not None:
                     assert np.abs(a_eq @ got.x - b_eq).max() <= 1e-8
             else:
@@ -114,7 +115,7 @@ class TestUniqueOptimum:
         # x2 = 1, x1 = 0.5 is the only optimum; equal gains tie.
         rows = sparse.csr_matrix(np.array([[1.0, 0.0, 1.0]]))
         kwargs = dict(a_ub=rows, b_ub=np.array([2.0]), a_eq=np.ones((1, 3)),
-                      b_eq=np.array([1.5]), bounds=(0.0, 1.0))
+                      b_eq=np.array([1.5]))
         res = simplex_solve(-np.array([1.0, 2.0, 3.0]), **kwargs)
         np.testing.assert_allclose(res.x, [0.0, 0.5, 1.0])
         assert res.unique

@@ -86,6 +86,16 @@ class TestSampleInstance:
             sample_instance(7, 10, c, lam=10.0)
         with pytest.raises(InputError):
             sample_instance(6, 0, c, lam=10.0)
+        for n in (1, 0, -2):
+            with pytest.raises(InputError, match="need at least 2 nodes"):
+                planted_scores(n)
+        with pytest.raises(InputError, match="need at least 2 nodes"):
+            sample_instance(1, 10, CoreScores(np.array([0.125]), budget=0.125), lam=10.0)
+        with pytest.raises(InputError, match="lambda"):
+            sample_instance(6, 10, c, lam=np.inf)
+        for kwargs in ({"pd_margin": np.inf}, {"sparsify_at": np.inf}, {"sparsify_at": -0.5}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                sample_instance(6, 10, c, lam=10.0, **kwargs)
 
 
 class TestSampleCoordinates:
