@@ -60,7 +60,7 @@ def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
         raise InputError(f"{len(c)} core scores for {n} nodes")
     cv = c.values
     pair = cv[:, None] + cv[None, :]
-    limit = pair_bounds(n, dist, hyper.e, hyper.eps_w)
+    limit = pair_bounds(n, dist, hyper.e)
     if np.any(pair > limit + 1e-9):
         i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
         raise ConfigError(
@@ -98,7 +98,7 @@ def fit(X, dist: DistanceMatrix | None = None,
             f"distance matrix is {dist.n_nodes}x{dist.n_nodes} for {n} nodes"
         )
     budget = hyper.resolve_budget(n)
-    cap = max_core_mass(n, dist, hyper.e, hyper.eps_w)
+    cap = max_core_mass(n, dist, hyper.e)
     if budget > cap + 1e-9:
         raise ConfigError(
             f"core budget M={budget:.6g} exceeds the maximum feasible core "
@@ -126,7 +126,7 @@ def fit(X, dist: DistanceMatrix | None = None,
     ref = np.diag(1.0 / np.diag(s)) if theta is None else theta
     obj_prev = joint_objective(ref, c, s, hyper, dist)
 
-    w = compute_weights(c, dist, hyper.e, hyper.eps_w)
+    w = compute_weights(c, dist, hyper.e)
     trace: list[float] = []
     converged = False
     outer = 0
@@ -145,13 +145,12 @@ def fit(X, dist: DistanceMatrix | None = None,
         # step decrease it.
         abs_theta = np.abs(theta.values)
         lp = core_score_lp(
-            abs_theta, dist, hyper.e, budget,
-            eps_w=hyper.eps_w, include_diagonal=False,
+            abs_theta, dist, hyper.e, budget, include_diagonal=False,
         )
         c = lp.c
         # Only the penalty term depends on c; the new weights are the
         # next graph step's.
-        w_new = compute_weights(c, dist, hyper.e, hyper.eps_w)
+        w_new = compute_weights(c, dist, hyper.e)
         obj = gres.objective + hyper.lam * float(((w.values - w_new.values) * abs_theta).sum())
         trace.append(obj)
         w = w_new
@@ -185,7 +184,7 @@ def fit_graph_given_scores(X, c: CoreScores,
     fm = _as_features(X)
     _check_scores(c, fm.n_nodes, dist, hyper)
     s = empirical_covariance(fm, hyper.ridge)
-    w = compute_weights(c, dist, hyper.e, hyper.eps_w)
+    w = compute_weights(c, dist, hyper.e)
     return weighted_glasso(
         s, w, hyper.lam, tol=hyper.glasso_tol, max_iter=hyper.glasso_max_iter
     )

@@ -25,7 +25,7 @@ from .bca import fit as bca_fit
 from .bca import fit_graph_given_scores
 from .corescore import scores_from_graph
 from .errors import CoreglassoError
-from .glasso import support
+from .glasso import _check_threshold, support
 from .io import (
     _write_rows,
     read_features_csv,
@@ -45,7 +45,7 @@ from .synth import planted_scores, sample_coordinates, sample_instance
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
 _HYPER_NAMES = tuple(f.name for f in dataclasses.fields(Hyperparams))
 # The fields a single graph step (glasso) reads.
-_GRAPH_STEP_NAMES = ("lam", "e", "eps_w", "glasso_tol", "glasso_max_iter", "ridge")
+_GRAPH_STEP_NAMES = ("lam", "e", "glasso_tol", "glasso_max_iter", "ridge")
 # grid takes lambda from --lambdas and e from --es, so it has neither flag.
 _GRID_HYPER_NAMES = tuple(name for name in _HYPER_NAMES if name not in ("lam", "e"))
 _HYPER_HELP = {
@@ -165,7 +165,7 @@ def cmd_scores_from_graph(args, out):
     n = adjacency.shape[0]
     dist = _load_distances(args.distances, args.e, n)
     budget = default_budget(n) if args.M is None else args.M
-    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget, eps_w=args.eps_w)
+    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     return {"graph": args.graph, "distances": args.distances}, {
         "resolved_M": budget,
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="adjacency CSV")
     p.add_argument("--distances")
     p.add_argument("--out")
-    _add_hyper_flags(p, ("e", "M", "eps_w"))
+    _add_hyper_flags(p, ("e", "M"))
     p.set_defaults(func=cmd_scores_from_graph)
 
     p = sub.add_parser("glasso", help="single weighted graphical lasso solve")
@@ -428,6 +428,9 @@ def main(argv=None) -> int:
     """Run one subcommand, write its ``meta.json`` and return the exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "threshold"):
+            # Before any solve, so a bad edge rule leaves no partial outputs.
+            _check_threshold(args.threshold)
         out = _out_dir(args)
         inputs, extra, complete = args.func(args, out)
         write_json(out / "meta.json", _meta(args, inputs, extra))

@@ -258,13 +258,20 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     return _kkt_from_inverse(tv, inv, s, rho)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject an edge threshold that is not finite and nonnegative."""
+    if not np.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
+    if threshold < 0:
+        raise InputError("threshold must be nonnegative")
+
+
 def support(theta, threshold: float = 0.0) -> np.ndarray:
     """Binary adjacency of the off-diagonal entries with ``|T_ij| > threshold``.
 
     The default threshold 0 relies on the solver producing exact zeros.
     """
-    if threshold < 0:
-        raise InputError("threshold must be nonnegative")
+    _check_threshold(threshold)
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     adj = (np.abs(tv) > threshold).astype(np.int64)
     np.fill_diagonal(adj, 0)

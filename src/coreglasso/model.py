@@ -199,7 +199,6 @@ class Hyperparams:
     lam : penalty scale (lambda > 0).
     e : distance coupling (>= 0); requires distances when positive.
     M : core-mass budget; None resolves to N/8 at fit time.
-    eps_w : strict-positivity floor for penalty weights.
     glasso_tol : KKT max-norm tolerance of the graph subproblem.
     bca_rel_tol : relative objective-increase threshold of the outer loop.
     bca_max_iter : outer iteration cap.
@@ -210,7 +209,6 @@ class Hyperparams:
     lam: float
     e: float = 0.0
     M: float | None = None
-    eps_w: float = EPS_W
     glasso_tol: float = 1e-5
     bca_rel_tol: float = 1e-5
     bca_max_iter: int = 50
@@ -228,8 +226,6 @@ class Hyperparams:
             raise ConfigError("distance coupling e must be nonnegative")
         if self.M is not None and not self.M > 0:
             raise ConfigError("core budget M must be positive")
-        if not self.eps_w > 0:
-            raise ConfigError("weight floor eps_w must be positive")
         for name in ("glasso_tol", "bca_rel_tol"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -295,10 +291,13 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
                 eps_w: float = EPS_W) -> np.ndarray:
     """Upper bounds ``1 - eps_w + e*log(d_ij)`` on ``c_i + c_j``, as a matrix.
 
-    The diagonal is ``inf`` (no bound).  When ``e > 0`` the distance
-    matrix is required, must be N x N and must be strictly positive off
-    the diagonal so the log term is finite.
+    ``e`` must be finite and nonnegative.  The diagonal is ``inf`` (no
+    bound).  When ``e > 0`` the distance matrix is required, must be
+    N x N and must be strictly positive off the diagonal so the log term
+    is finite.
     """
+    if not 0 <= e < np.inf:
+        raise ConfigError(f"distance coupling e must be finite and nonnegative, got {e}")
     b = np.full((n, n), 1.0 - eps_w)
     if e > 0:
         if dist is None:
@@ -354,6 +353,6 @@ def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
     """
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     _, logdet = _inverse_logdet(tv, "theta")
-    w = compute_weights(c, dist, hyper.e, hyper.eps_w).values
+    w = compute_weights(c, dist, hyper.e).values
     penalty = hyper.lam * float((w * np.abs(tv)).sum())
     return logdet - float((S * tv).sum()) - penalty

@@ -169,7 +169,7 @@ class TestGlasso:
         assert meta["kkt_residual"] <= 1e-5
         # Only the fields the graph step reads, plus the edge threshold.
         assert set(meta["parameters"]) == {
-            "lam", "e", "eps_w", "glasso_tol", "glasso_max_iter", "ridge", "threshold",
+            "lam", "e", "glasso_tol", "glasso_max_iter", "ridge", "threshold",
         }
 
     def test_scores_violating_pairwise_bound_rejected(self, tmp_path, capsys):
@@ -264,6 +264,8 @@ class TestEval:
             ([str(tmp_path / "nope.csv")] * 2, "nope.csv"),
             # A negative threshold would make every pair an edge.
             ([star, star, "--threshold", "-0.5"], "threshold must be nonnegative"),
+            ([star, star, "--threshold", "nan"], "threshold must be finite"),
+            ([star, star, "--threshold", "inf"], "threshold must be finite"),
         ):
             truth, estimate, *flags = inputs
             code = main([
@@ -391,12 +393,21 @@ class TestGrid:
     ("fit", ["--lp-tol", "1e-6"]),
     ("glasso", ["--bca-max-iter", "1"]),
     ("glasso", ["--M", "1"]),
-], ids=["fit-lp-tol", "glasso-bca-max-iter", "glasso-M"])
+    ("fit", ["--eps-w", "1e-3"]),
+    ("glasso", ["--eps-w", "1e-3"]),
+    ("grid", ["--eps-w", "1e-3"]),
+    ("scores-from-graph", ["--eps-w", "nan"]),
+], ids=["fit-lp-tol", "glasso-bca-max-iter", "glasso-M", "fit-eps-w", "glasso-eps-w",
+        "grid-eps-w", "scores-from-graph-eps-w"])
 def test_unused_flags_rejected(tmp_path, capsys, command, flag):
     # A flag the command would not apply does not exist.
+    features = str(FIXTURE / "features.csv")
+    required = {
+        "grid": ["--features", features, "--lambdas", "0.1"],
+        "scores-from-graph": ["--graph", str(star_csv(tmp_path / "star.csv"))],
+    }.get(command, ["--features", features])
     with pytest.raises(SystemExit) as exc:
-        main([command, "--features", str(FIXTURE / "features.csv"), *flag,
-              "--out", str(tmp_path / "o")])
+        main([command, *required, *flag, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
@@ -409,10 +420,18 @@ def _contract_runs(tmp_path):
     scores.write_text(json.dumps({"values": [0.5, 0.25, 0.25], "M": 1.0}))
     missing = str(tmp_path / "nope.csv")
     return {
-        "fit": (["--features", features, "--bca-max-iter", "2"],
-                [["--features", missing]]),
-        "scores-from-graph": (["--graph", star], [["--graph", missing]]),
-        "glasso": (["--features", features], [["--features", missing]]),
+        "fit": (["--features", features, "--bca-max-iter", "2"], [
+            ["--features", missing],
+            ["--features", features, "--threshold", "nan"],
+        ]),
+        "scores-from-graph": (["--graph", star], [
+            ["--graph", missing],
+            ["--graph", star, "--e", "-0.5"],
+        ]),
+        "glasso": (["--features", features], [
+            ["--features", missing],
+            ["--features", features, "--threshold", "inf"],
+        ]),
         "sample": (["--n", "8", "--d", "40"], [
             ["--n", "8", "--d", "0"],
             ["--n", "1", "--d", "5"],
@@ -421,14 +440,22 @@ def _contract_runs(tmp_path):
             ["--n", "8", "--d", "5", "--lambda", "inf"],
             ["--n", "8", "--d", "5", "--pd-margin", "inf"],
             ["--n", "8", "--d", "5", "--sparsify-at", "nan"],
+            ["--n", "8", "--d", "5", "--e", "nan"],
+            ["--n", "8", "--d", "5", "--e", "-1"],
         ]),
         "eval": (["--truth", star, "--estimate", star, "--baselines", "kcores"],
                  [["--truth", missing, "--estimate", star]]),
         "group-compare": (["--group-a", str(scores), "--group-b", str(scores), "--k", "1"],
                           [["--group-a", missing, "--group-b", str(scores)]]),
-        "grid": (["--features", features, "--lambdas", "0.1", "--bca-max-iter", "2"],
-                 [["--features", missing, "--lambdas", "0.1"]]),
+        "grid": (["--features", features, "--lambdas", "0.1", "--bca-max-iter", "2"], [
+            ["--features", missing, "--lambdas", "0.1"],
+            ["--features", features, "--lambdas", "0.1", "--threshold", "nan"],
+        ]),
     }
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in meta.json")
 
 
 @pytest.mark.parametrize("command", [
@@ -438,7 +465,8 @@ def test_meta_json_contract(tmp_path, capsys, command):
     ok, failing = _contract_runs(tmp_path)[command]
     out = tmp_path / "ok"
     assert main([command, *ok, "--out", str(out)]) in (0, 2)
-    meta = json.loads((out / "meta.json").read_text())
+    # Strict JSON: NaN or Infinity in meta.json fails the contract.
+    meta = json.loads((out / "meta.json").read_text(), parse_constant=_reject_constant)
     assert meta["command"] == command
     assert {"version", "parameters", "inputs"} <= meta.keys()
 

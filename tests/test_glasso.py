@@ -186,8 +186,11 @@ class TestSupport:
         assert support(theta, threshold=0.5).sum() == 0
 
     def test_rejects_negative_threshold(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="threshold must be nonnegative"):
             support(np.eye(2), threshold=-0.1)
+        for threshold in (np.nan, np.inf):
+            with pytest.raises(InputError, match="threshold must be finite"):
+                support(np.eye(2), threshold=threshold)
 
     def test_solver_produces_exact_zeros(self, rng):
         s = rand_pd(10, rng, n_samples=30)

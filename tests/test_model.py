@@ -21,6 +21,7 @@ from coreglasso import (
     empirical_covariance,
     joint_objective,
 )
+from coreglasso.model import EPS_W, pair_bounds
 
 from conftest import rand_pd
 
@@ -141,6 +142,13 @@ class TestComputeWeights:
         w = compute_weights(np.zeros(2), dist, e=0.09).values
         assert w[0, 1] == pytest.approx(1.0)
 
+    def test_pair_bounds_reject_bad_coupling(self):
+        # A negative or non-finite e would silently solve the e = 0 program.
+        dist = DistanceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        for e in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="e must be finite and nonnegative"):
+                pair_bounds(2, dist, e)
+
     def test_requires_distances_when_coupled(self):
         with pytest.raises(ConfigError):
             compute_weights(np.zeros(3), None, e=0.09)
@@ -196,7 +204,7 @@ class TestJointObjective:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    w[i, j] = max(h.eps_w, 1 - c[i] - c[j])
+                    w[i, j] = max(EPS_W, 1 - c[i] - c[j])
         expected = logdet - np.trace(s @ theta) - h.lam * float(
             (w * np.abs(theta)).sum()
         )

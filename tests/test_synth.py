@@ -96,6 +96,9 @@ class TestSampleInstance:
         for kwargs in ({"pd_margin": np.inf}, {"sparsify_at": np.inf}, {"sparsify_at": -0.5}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 sample_instance(6, 10, c, lam=10.0, **kwargs)
+        for e in (-1.0, np.nan):
+            with pytest.raises(ConfigError, match="e must be finite and nonnegative"):
+                sample_instance(6, 10, c, lam=10.0, e=e)
 
 
 class TestSampleCoordinates:
