@@ -2,11 +2,13 @@
 
 Subcommands: fit, scores-from-graph, glasso, sample, eval,
 group-compare, grid.  Every command is deterministic given its inputs,
-flags and seed.  ``main`` runs one command, then writes its ``meta.json``
-recording the resolved hyperparameters, tool version and input checksums.
+flags and seed.  ``main`` runs one command, then writes its ``meta.json``:
+every flag but ``--out`` and the input files (``_INPUT_FLAGS``) under
+``parameters``, one SHA-256 checksum per input file under ``inputs``.
 
 Exit codes: 0 success, 1 input/configuration error (no ``meta.json``),
-2 finished at an iteration cap with results still written.
+2 ``meta.json`` says ``"converged": false``: a solver stopped at a cap,
+with results still written.
 """
 
 import argparse
@@ -92,22 +94,23 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _checksums(paths: dict) -> dict:
-    return {
-        name: {"path": str(p), "sha256": sha256_file(p)}
-        for name, p in paths.items()
-        if p is not None
-    }
-
-
-def _meta(args, inputs, extra) -> dict:
-    keys = _HYPER_NAMES + ("seed", "threshold", "k", "t", "jobs")
+def _meta(args, result) -> dict:
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    paths = {}
+    for flag in _INPUT_FLAGS:
+        value = parameters.pop(flag, None)
+        if isinstance(value, list):
+            # eval --scores items are (NAME, "=", PATH).
+            paths.update({f"{flag}_{i}": item[-1] if isinstance(item, tuple) else item
+                          for i, item in enumerate(value)})
+        elif value is not None:
+            paths[flag] = value
     return {
         "command": args.command,
         "version": __version__,
-        "parameters": {k: getattr(args, k) for k in keys if hasattr(args, k)},
-        "inputs": _checksums(inputs),
-        **extra,
+        "parameters": parameters,
+        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items()},
+        **result,
     }
 
 
@@ -133,9 +136,9 @@ def _load_distances(path, e, n):
     return dist
 
 
-# Each command writes its outputs under ``out`` and returns ``(inputs,
-# extra, complete)``: the input paths to checksum, the fields ``meta.json``
-# adds to the common ones, and False when a solver stopped at a cap.
+# Each command writes its outputs under ``out`` and returns the fields
+# ``meta.json`` adds to the common ones; ``"converged": False`` among them
+# means a solver stopped at a cap.
 
 
 def cmd_fit(args, out):
@@ -149,7 +152,7 @@ def cmd_fit(args, out):
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_trace_csv(out / "trace.csv", result.objective_trace)
-    return {"features": args.features, "distances": args.distances}, {
+    return {
         "resolved_M": hyper.resolve_budget(features.n_nodes),
         "n_nodes": features.n_nodes,
         "n_samples": features.n_samples,
@@ -157,7 +160,7 @@ def cmd_fit(args, out):
         "outer_iterations": result.outer_iterations,
         "objective": result.objective_trace[-1],
         "edges": _edge_count(result.theta, args.threshold),
-    }, result.converged
+    }
 
 
 def cmd_scores_from_graph(args, out):
@@ -167,11 +170,11 @@ def cmd_scores_from_graph(args, out):
     budget = default_budget(n) if args.M is None else args.M
     result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget)
     write_scores_json(out / "scores.json", result.c, labels=labels)
-    return {"graph": args.graph, "distances": args.distances}, {
+    return {
         "resolved_M": budget,
         "objective": result.objective,
         "active_constraints": [list(p) for p in result.active_constraints],
-    }, True
+    }
 
 
 def cmd_glasso(args, out):
@@ -186,15 +189,11 @@ def cmd_glasso(args, out):
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     return {
-        "features": args.features,
-        "distances": args.distances,
-        "scores": args.scores,
-    }, {
         "converged": result.converged,
         "iterations": result.iterations,
         "objective": result.objective,
         "kkt_residual": result.kkt_residual,
-    }, result.converged
+    }
 
 
 def cmd_sample(args, out):
@@ -215,12 +214,12 @@ def cmd_sample(args, out):
     write_matrix_csv(out / "features.csv", inst.X.values)
     write_matrix_csv(out / "theta_true.csv", inst.theta_true.values)
     write_scores_json(out / "c_true.json", c_true)
-    return {}, {
+    return {
         "resolved_M": c_true.budget,
         "n_nodes": n,
         "n_samples": args.d,
         "true_edges": _edge_count(inst.theta_true),
-    }, True
+    }
 
 
 def cmd_eval(args, out):
@@ -234,12 +233,9 @@ def cmd_eval(args, out):
         )
 
     scores = {}
-    for item in args.scores or []:
-        if "=" not in item:
-            raise CoreglassoError(
-                f"--scores expects NAME=PATH, got {item!r}"
-            )
-        name, path = item.split("=", 1)
+    for name, sep, path in args.scores or []:
+        if not sep:
+            raise CoreglassoError(f"--scores expects NAME=PATH, got {name!r}")
         scores[name] = read_scores_json(path).values
     methods = [m for m in args.baselines.split(",") if m] if args.baselines != "none" else []
     for method in methods:
@@ -267,7 +263,7 @@ def cmd_eval(args, out):
         "t": args.t if args.t is not None else max(1, n // 4),
     }
     write_json(out / "table.json", table)
-    return {"truth": args.truth, "estimate": args.estimate}, table, True
+    return table
 
 
 def cmd_group_compare(args, out):
@@ -286,9 +282,7 @@ def cmd_group_compare(args, out):
         "top_k_diff": [float(diff[i]) for i in top],
     }
     write_json(out / "top.json", summary)
-    inputs = {f"group_a_{i}": p for i, p in enumerate(args.group_a)}
-    inputs.update({f"group_b_{i}": p for i, p in enumerate(args.group_b)})
-    return inputs, summary, True
+    return summary
 
 
 def _grid_cell(payload):
@@ -322,8 +316,9 @@ def cmd_grid(args, out):
         (args.features, args.distances, dataclasses.replace(base, lam=lam, e=e), args.threshold)
         for e in es for lam in lambdas
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool starts all its workers at once; more than one per cell is waste.
+    if args.jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cells))) as pool:
             results = list(pool.map(_grid_cell, cells))
     else:
         results = [_grid_cell(cell) for cell in cells]
@@ -331,9 +326,12 @@ def cmd_grid(args, out):
     _write_rows(out / "grid.csv", (
         [int(v) if isinstance(v, bool) else v for v in row.values()] for row in results
     ), header=list(results[0]))
-    return {"features": args.features, "distances": args.distances}, {
-        "cells": results,
-    }, all(r["converged"] for r in results)
+    return {"converged": all(r["converged"] for r in results), "cells": results}
+
+
+# Flags naming input files: meta.json checksums them instead of recording them.
+_INPUT_FLAGS = ("features", "distances", "graph", "scores", "truth", "estimate",
+                "group_a", "group_b")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--distances")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in meta.json only: fit is deterministic")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="support threshold for the edge list")
     _add_hyper_flags(p)
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="block-model and recovery metrics")
     p.add_argument("--truth", required=True, help="ground-truth matrix CSV")
     p.add_argument("--estimate", required=True, help="estimated precision CSV")
-    p.add_argument("--scores", action="append",
+    p.add_argument("--scores", action="append", type=lambda item: item.partition("="),
                    help="NAME=PATH score file (repeatable)")
     p.add_argument("--baselines", default="minres,kcores",
                    help="comma list of graph baselines, or 'none'")
@@ -432,12 +431,12 @@ def main(argv=None) -> int:
             # Before any solve, so a bad edge rule leaves no partial outputs.
             _check_threshold(args.threshold)
         out = _out_dir(args)
-        inputs, extra, complete = args.func(args, out)
-        write_json(out / "meta.json", _meta(args, inputs, extra))
+        meta = _meta(args, args.func(args, out))
+        write_json(out / "meta.json", meta)
     except (CoreglassoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if complete else 2
+    return 0 if meta.get("converged", True) else 2
 
 
 if __name__ == "__main__":

@@ -58,6 +58,12 @@ def _weights_array(W, n: int) -> np.ndarray:
     return wv
 
 
+def _check_positive(value, name: str) -> None:
+    """Reject a scalar setting that is not finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value}")
+
+
 def _refresh_inverse(theta: np.ndarray, sweep: int):
     """Exact inverse and log-determinant from a fresh Cholesky factor."""
     try:
@@ -123,10 +129,10 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
     W : WeightMatrix or (N, N) nonnegative symmetric array
         Per-edge weights; the diagonal is never penalized.
     lam : float
-        Penalty scale; the effective penalty on the ordered pair (i, j)
-        is ``lam * w_ij``, i.e. ``2 lam w_ij`` per undirected edge.
+        Penalty scale, finite and > 0; the effective penalty on the ordered
+        pair (i, j) is ``lam * w_ij``, i.e. ``2 lam w_ij`` per undirected edge.
     tol : float
-        Max-norm bound on the KKT residual at convergence.
+        Max-norm bound on the KKT residual at convergence, finite and > 0.
     max_iter : int
         Sweep cap; hitting it returns ``converged=False``.
     warm_start : optional Precision (or array validated as one) used as
@@ -141,8 +147,8 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
     diag_s = np.diag(s).copy()
     if diag_s.min() <= 0:
         raise InputError("covariance diagonal must be strictly positive")
-    if not lam > 0:
-        raise InputError("lambda must be positive")
+    _check_positive(lam, "lambda")
+    _check_positive(tol, "tol")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
     rho = lam * _weights_array(W, n)
@@ -229,17 +235,11 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
 
 
 def _kkt_from_inverse(theta, inv, s, rho) -> float:
+    # One rule per entry; the diagonal needs none of its own, since
+    # rho_ii = 0 and a PD theta has theta_ii != 0.
     grad = inv - s
-    resid = np.abs(np.diag(grad)).max()
-    off = ~np.eye(theta.shape[0], dtype=bool)
-    nz = off & (theta != 0.0)
-    if nz.any():
-        resid = max(resid, np.abs(grad[nz] - rho[nz] * np.sign(theta[nz])).max())
-    z = off & (theta == 0.0)
-    if z.any():
-        slack = np.abs(grad[z]) - rho[z]
-        resid = max(resid, max(0.0, slack.max()))
-    return float(resid)
+    resid = np.where(theta != 0.0, np.abs(grad - rho * np.sign(theta)), np.abs(grad) - rho)
+    return float(resid.max(initial=0.0))
 
 
 def kkt_residual(theta, S, W, lam: float) -> float:
@@ -249,6 +249,7 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     returned ``GlassoResult`` can be certified from (theta, S, W, lam)
     alone.
     """
+    _check_positive(lam, "lambda")
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     n = tv.shape[0]
     s = _check_square_symmetric(S, "covariance")

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreglasso import Hyperparams
-from coreglasso.cli import main
-from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv
-from coreglasso.synth import planted_scores, sample_instance
+from coreglasso import Hyperparams, cli
+from coreglasso.cli import build_parser, main
+from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv, write_scores_json
+from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 FIXTURE = Path(__file__).parent / "data" / "fixture30"
 
@@ -388,6 +388,30 @@ class TestGrid:
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert (serial / "grid.csv").read_bytes() == (parallel / "grid.csv").read_bytes()
 
+    def test_jobs_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # A process pool starts all its workers at once, so it gets at most
+        # one per cell; this stand-in runs the cells in-process.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        base = ["grid", "--features", str(FIXTURE / "features.csv"), "--jobs", "500"]
+        assert main(base + ["--lambdas", "0.05,0.1", "--out", str(tmp_path / "two")]) == 0
+        assert main(base + ["--lambdas", "0.1", "--out", str(tmp_path / "one")]) == 0
+        assert pools == [2]
+
 
 @pytest.mark.parametrize("command, flag", [
     ("fit", ["--lp-tol", "1e-6"]),
@@ -413,22 +437,32 @@ def test_unused_flags_rejected(tmp_path, capsys, command, flag):
 
 
 def _contract_runs(tmp_path):
-    """Per subcommand: flags of a run that finishes, and of runs that fail."""
+    """Per subcommand: flags of a run that finishes, and of runs that fail.
+
+    Each finishing run passes every input-file flag its command has.
+    """
     features = str(FIXTURE / "features.csv")
     star = str(star_csv(tmp_path / "star.csv"))
     scores = tmp_path / "c.json"
     scores.write_text(json.dumps({"values": [0.5, 0.25, 0.25], "M": 1.0}))
+    dist30, dist5 = tmp_path / "d30.csv", tmp_path / "d5.csv"
+    write_matrix_csv(dist30, sample_coordinates(30, seed=0)[1].values)
+    write_matrix_csv(dist5, sample_coordinates(5, seed=0)[1].values)
+    scores30, scores5 = tmp_path / "c30.json", tmp_path / "c5.json"
+    write_scores_json(scores30, planted_scores(30))
+    write_scores_json(scores5, planted_scores(5))
     missing = str(tmp_path / "nope.csv")
     return {
-        "fit": (["--features", features, "--bca-max-iter", "2"], [
+        "fit": (["--features", features, "--distances", str(dist30), "--bca-max-iter", "2"], [
             ["--features", missing],
             ["--features", features, "--threshold", "nan"],
         ]),
-        "scores-from-graph": (["--graph", star], [
+        "scores-from-graph": (["--graph", star, "--distances", str(dist5)], [
             ["--graph", missing],
             ["--graph", star, "--e", "-0.5"],
         ]),
-        "glasso": (["--features", features], [
+        "glasso": (["--features", features, "--scores", str(scores30),
+                    "--distances", str(dist30)], [
             ["--features", missing],
             ["--features", features, "--threshold", "inf"],
         ]),
@@ -443,11 +477,13 @@ def _contract_runs(tmp_path):
             ["--n", "8", "--d", "5", "--e", "nan"],
             ["--n", "8", "--d", "5", "--e", "-1"],
         ]),
-        "eval": (["--truth", star, "--estimate", star, "--baselines", "kcores"],
+        "eval": (["--truth", star, "--estimate", star, "--scores", f"planted={scores5}",
+                  "--baselines", "kcores"],
                  [["--truth", missing, "--estimate", star]]),
         "group-compare": (["--group-a", str(scores), "--group-b", str(scores), "--k", "1"],
                           [["--group-a", missing, "--group-b", str(scores)]]),
-        "grid": (["--features", features, "--lambdas", "0.1", "--bca-max-iter", "2"], [
+        "grid": (["--features", features, "--distances", str(dist30), "--lambdas", "0.1",
+                  "--bca-max-iter", "2"], [
             ["--features", missing, "--lambdas", "0.1"],
             ["--features", features, "--lambdas", "0.1", "--threshold", "nan"],
         ]),
@@ -469,6 +505,13 @@ def test_meta_json_contract(tmp_path, capsys, command):
     meta = json.loads((out / "meta.json").read_text(), parse_constant=_reject_constant)
     assert meta["command"] == command
     assert {"version", "parameters", "inputs"} <= meta.keys()
+    # The record names every flag: as a parameter, or as checksummed input
+    # files (a list flag's files keyed <flag>_<i>).
+    parsed = vars(build_parser().parse_args([command, *ok, "--out", str(out)]))
+    for key in parsed.keys() - {"command", "func", "out"}:
+        files = [name for name in meta["inputs"] if name == key or name.startswith(f"{key}_")]
+        assert key in meta["parameters"] or files, key
+        assert not (key in meta["parameters"] and files), key
 
     for flags in failing:
         out = tmp_path / "failing"

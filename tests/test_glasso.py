@@ -122,6 +122,49 @@ class TestCertificate:
         with pytest.raises(InputError):
             weighted_glasso(s, uniform_weights(2), lam=0.1)
 
+    def test_rejects_bad_scalars(self):
+        # lam and tol must be finite and positive; before this check
+        # lam=inf "converged" at a NaN objective, tol=nan ran to the cap,
+        # and kkt_residual scored lam=nan and lam=-5.
+        s, w, theta = np.eye(6), uniform_weights(6), 2.0 * np.eye(6)
+        for call in (
+            lambda: weighted_glasso(s, w, lam=np.inf),
+            lambda: weighted_glasso(s, w, lam=np.nan),
+            lambda: weighted_glasso(s, w, lam=0.0),
+            lambda: weighted_glasso(s, w, lam=0.1, tol=np.nan),
+            lambda: weighted_glasso(s, w, lam=0.1, tol=np.inf),
+            lambda: weighted_glasso(s, w, lam=0.1, tol=0.0),
+            lambda: kkt_residual(theta, s, w, lam=np.nan),
+            lambda: kkt_residual(theta, s, w, lam=np.inf),
+            lambda: kkt_residual(theta, s, w, lam=-5.0),
+        ):
+            with pytest.raises(InputError, match="must be finite and positive"):
+                call()
+
+    @pytest.mark.parametrize("lam", [0.01, 0.2, 1.0])
+    def test_kkt_residual_entrywise_oracle(self, rng, lam):
+        # The max over entries of |grad_ij - lam w_ij sign(T_ij)| where
+        # T_ij != 0 (w_ii = 0) and of max(0, |grad_ij| - lam w_ij) where
+        # T_ij = 0, with grad = T^-1 - S.
+        n = 6
+        s = rand_pd(n, rng, n_samples=20)
+        theta = rand_pd(n, rng)
+        theta[0, 1] = theta[1, 0] = theta[2, 4] = theta[4, 2] = 0.0
+        theta += n * np.eye(n)
+        w = rng.uniform(0.5, 1.5, (n, n))
+        w = (w + w.T) / 2
+        grad = np.linalg.inv(theta) - s
+        expected = 0.0
+        for i in range(n):
+            for j in range(n):
+                rho = 0.0 if i == j else lam * w[i, j]
+                if theta[i, j] != 0.0:
+                    entry = abs(grad[i, j] - rho * np.sign(theta[i, j]))
+                else:
+                    entry = abs(grad[i, j]) - rho
+                expected = max(expected, entry)
+        assert kkt_residual(theta, s, w, lam) == pytest.approx(expected, rel=1e-10)
+
     def test_rejects_non_pd_warm_start(self, rng):
         s = rand_pd(3, rng)
         bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
