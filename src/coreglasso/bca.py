@@ -78,7 +78,7 @@ def fit(X, dist: DistanceMatrix | None = None,
     Parameters
     ----------
     X : FeatureMatrix or (N, d) array of node attributes.
-    dist : distances, required when ``hyper.e > 0``.
+    dist : N x N distances, required when ``hyper.e > 0``.
     hyper : solver hyperparameters (budget None resolves to N/8).
     c_init : optional initial core scores (default: uniform M/N); they
         must sum to the resolved budget and respect the pairwise bounds.
@@ -93,10 +93,6 @@ def fit(X, dist: DistanceMatrix | None = None,
         raise ConfigError("hyperparameters are required")
     fm = _as_features(X)
     n = fm.n_nodes
-    if dist is not None and dist.n_nodes != n:
-        raise InputError(
-            f"distance matrix is {dist.n_nodes}x{dist.n_nodes} for {n} nodes"
-        )
     budget = hyper.resolve_budget(n)
     cap = max_core_mass(n, dist, hyper.e)
     if budget > cap + 1e-9:

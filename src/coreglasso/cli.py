@@ -27,7 +27,7 @@ from .bca import fit as bca_fit
 from .bca import fit_graph_given_scores
 from .corescore import scores_from_graph
 from .errors import CoreglassoError
-from .glasso import _check_threshold, support
+from .glasso import support
 from .io import (
     _write_rows,
     read_features_csv,
@@ -41,7 +41,7 @@ from .io import (
     write_trace_csv,
 )
 from .metrics import compare_methods, group_compare, support_recovery
-from .model import CoreScores, DistanceMatrix, Hyperparams, default_budget
+from .model import CoreScores, DistanceMatrix, Hyperparams, _check_setting, default_budget
 from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
@@ -119,21 +119,11 @@ def _edge_count(theta, threshold=0.0) -> int:
     return int(np.triu(support(theta, threshold), 1).sum())
 
 
-def _load_distances(path, e, n):
-    """The distance matrix at ``path`` for ``n`` nodes, or None without one."""
+def _load_distances(path):
+    """The distance matrix at ``path``, or None without one."""
     if path is None:
-        if e > 0:
-            raise CoreglassoError(
-                "distance coupling --e > 0 requires --distances"
-            )
         return None
-    values, _ = read_square_csv(path, name="distance matrix")
-    dist = DistanceMatrix(values)
-    if dist.n_nodes != n:
-        raise CoreglassoError(
-            f"distance matrix is {dist.n_nodes}x{dist.n_nodes} for {n} nodes"
-        )
-    return dist
+    return DistanceMatrix(read_square_csv(path, name="distance matrix")[0])
 
 
 # Each command writes its outputs under ``out`` and returns the fields
@@ -143,7 +133,7 @@ def _load_distances(path, e, n):
 
 def cmd_fit(args, out):
     features = read_features_csv(args.features)
-    dist = _load_distances(args.distances, args.e, features.n_nodes)
+    dist = _load_distances(args.distances)
     hyper = _hyper_from_args(args)
     result = bca_fit(features, dist=dist, hyper=hyper)
 
@@ -166,7 +156,7 @@ def cmd_fit(args, out):
 def cmd_scores_from_graph(args, out):
     adjacency, labels = read_square_csv(args.graph, name="adjacency")
     n = adjacency.shape[0]
-    dist = _load_distances(args.distances, args.e, n)
+    dist = _load_distances(args.distances)
     budget = default_budget(n) if args.M is None else args.M
     result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget)
     write_scores_json(out / "scores.json", result.c, labels=labels)
@@ -180,7 +170,7 @@ def cmd_scores_from_graph(args, out):
 def cmd_glasso(args, out):
     features = read_features_csv(args.features)
     n = features.n_nodes
-    dist = _load_distances(args.distances, args.e, n)
+    dist = _load_distances(args.distances)
     if args.scores is not None:
         c = read_scores_json(args.scores)
     else:
@@ -232,12 +222,15 @@ def cmd_eval(args, out):
             f"estimate is {theta_est.shape[0]}x{theta_est.shape[0]}, truth is {n}x{n}"
         )
 
+    methods = [m for m in args.baselines.split(",") if m] if args.baselines != "none" else []
     scores = {}
     for name, sep, path in args.scores or []:
         if not sep:
             raise CoreglassoError(f"--scores expects NAME=PATH, got {name!r}")
+        # One row per NAME: a second file or a baseline would replace it.
+        if name in scores or name in methods:
+            raise CoreglassoError(f"--scores NAME {name!r} is repeated or a --baselines method")
         scores[name] = read_scores_json(path).values
-    methods = [m for m in args.baselines.split(",") if m] if args.baselines != "none" else []
     for method in methods:
         if method == "minres":
             scores["minres"] = minres_scores(truth).c
@@ -289,7 +282,7 @@ def _grid_cell(payload):
     features_path, dist_path, hyper, threshold = payload
     features = read_features_csv(features_path)
     n = features.n_nodes
-    dist = _load_distances(dist_path, hyper.e, n)
+    dist = _load_distances(dist_path)
     result = bca_fit(features, dist=dist, hyper=hyper)
     edges = _edge_count(result.theta, threshold)
     total = n * (n - 1) // 2
@@ -305,8 +298,7 @@ def _grid_cell(payload):
 
 
 def cmd_grid(args, out):
-    if args.jobs < 1:
-        raise CoreglassoError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_setting(args.jobs, "jobs", "count")
     lambdas = _floats(args.lambdas, "--lambdas")
     es = _floats(args.es, "--es")
     if not lambdas or not es:
@@ -429,7 +421,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "threshold"):
             # Before any solve, so a bad edge rule leaves no partial outputs.
-            _check_threshold(args.threshold)
+            _check_setting(args.threshold, "threshold", "nonnegative")
         out = _out_dir(args)
         meta = _meta(args, args.func(args, out))
         write_json(out / "meta.json", meta)

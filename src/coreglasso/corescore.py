@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import EPS_W, CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds
+from .model import (EPS_W, CoreScores, _check_adjacency, _check_budget, _check_square_symmetric,
+                    pair_bounds)
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
@@ -114,7 +115,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     ----------
     abs_theta : (N, N) symmetric nonnegative matrix
         Entry magnitudes of the precision matrix (or graph weights).
-    dist, e : spatial distances and their coupling strength.
+    dist, e : N x N spatial distances and their coupling strength.
     M : total core mass; must lie in (0, N] and within the polytope.
     eps_w : slack closing the strict pairwise inequality.
     include_diagonal : bool
@@ -131,8 +132,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
         raise InputError("abs_theta must have N >= 2 nodes")
     if t.min() < 0:
         raise InputError("abs_theta must be entrywise nonnegative")
-    if not 0 < M <= n:
-        raise InputError(f"core budget M={M} outside (0, N]")
+    _check_budget(M, n)
 
     gains = 2.0 * t.sum(axis=1)
     if not include_diagonal:

@@ -6,11 +6,12 @@ class CoreglassoError(Exception):
 
 
 class InputError(CoreglassoError, ValueError):
-    """Malformed or out-of-contract input data (shapes, ranges, NaNs)."""
+    """Bad data: a matrix, vector or file of the wrong shape or with bad entries."""
 
 
 class ConfigError(CoreglassoError, ValueError):
-    """Inconsistent configuration (e.g. distance coupling without distances)."""
+    """Bad settings: a scalar setting out of its range (``model._check_setting``)
+    or settings that do not fit together (e.g. ``e > 0`` without distances)."""
 
 
 class InfeasibleError(CoreglassoError):

@@ -25,7 +25,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
-from .model import Precision, WeightMatrix, _check_square_symmetric, _inverse_logdet
+from .model import (Precision, WeightMatrix, _check_setting, _check_square_symmetric,
+                    _inverse_logdet)
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -56,12 +57,6 @@ def _weights_array(W, n: int) -> np.ndarray:
     if wv.shape != (n, n):
         raise InputError(f"weight matrix shape {wv.shape}, expected {(n, n)}")
     return wv
-
-
-def _check_positive(value, name: str) -> None:
-    """Reject a scalar setting that is not finite and > 0."""
-    if not (np.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be finite and positive, got {value}")
 
 
 def _refresh_inverse(theta: np.ndarray, sweep: int):
@@ -134,7 +129,7 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
     tol : float
         Max-norm bound on the KKT residual at convergence, finite and > 0.
     max_iter : int
-        Sweep cap; hitting it returns ``converged=False``.
+        Sweep cap, an integer >= 1; hitting it returns ``converged=False``.
     warm_start : optional Precision (or array validated as one) used as
         the initial iterate.
 
@@ -147,10 +142,9 @@ def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
     diag_s = np.diag(s).copy()
     if diag_s.min() <= 0:
         raise InputError("covariance diagonal must be strictly positive")
-    _check_positive(lam, "lambda")
-    _check_positive(tol, "tol")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
+    _check_setting(lam, "lam", "positive")
+    _check_setting(tol, "tol", "positive")
+    _check_setting(max_iter, "max_iter", "count")
     rho = lam * _weights_array(W, n)
     np.fill_diagonal(rho, 0.0)
 
@@ -249,7 +243,7 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     returned ``GlassoResult`` can be certified from (theta, S, W, lam)
     alone.
     """
-    _check_positive(lam, "lambda")
+    _check_setting(lam, "lam", "positive")
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     n = tv.shape[0]
     s = _check_square_symmetric(S, "covariance")
@@ -259,20 +253,12 @@ def kkt_residual(theta, S, W, lam: float) -> float:
     return _kkt_from_inverse(tv, inv, s, rho)
 
 
-def _check_threshold(threshold: float) -> None:
-    """Reject an edge threshold that is not finite and nonnegative."""
-    if not np.isfinite(threshold):
-        raise InputError(f"threshold must be finite, got {threshold}")
-    if threshold < 0:
-        raise InputError("threshold must be nonnegative")
-
-
 def support(theta, threshold: float = 0.0) -> np.ndarray:
     """Binary adjacency of the off-diagonal entries with ``|T_ij| > threshold``.
 
     The default threshold 0 relies on the solver producing exact zeros.
     """
-    _check_threshold(threshold)
+    _check_setting(threshold, "threshold", "nonnegative")
     tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
     adj = (np.abs(tv) > threshold).astype(np.int64)
     np.fill_diagonal(adj, 0)

@@ -10,7 +10,7 @@ construction, and the joint MAP objective that the block solver ascends.
 
 import numpy as np
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError, NotPositiveDefiniteError
@@ -190,20 +190,44 @@ class Precision:
         return self.values.shape[0]
 
 
+def _check_setting(value, name: str, rule: str) -> None:
+    """The one range check of a scalar setting, under one of three rules:
+    ``positive`` (finite, > 0), ``nonnegative`` (finite, >= 0) or ``count``
+    (an integer >= 1).  Raises :class:`ConfigError` naming the setting."""
+    if rule == "count":
+        ok, want = isinstance(value, (int, np.integer)) and value >= 1, "a whole number >= 1"
+    else:
+        ok = bool(np.isfinite(value)) and (value > 0 if rule == "positive" else value >= 0)
+        want = f"finite and {rule}"
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value}")
+
+
+def _check_budget(m, n_nodes: int) -> float:
+    """The core-mass budget rule: positive and at most N."""
+    _check_setting(m, "M", "positive")
+    if m > n_nodes:
+        raise ConfigError(
+            f"core budget M={m} infeasible for {n_nodes} nodes (M <= N)"
+        )
+    return float(m)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
-    """Solver hyperparameters; every numeric field must be finite.
+    """Solver hyperparameters; a field outside its rule in ``_RULES`` raises
+    :class:`ConfigError` naming it.
 
     Attributes
     ----------
     lam : penalty scale (lambda > 0).
     e : distance coupling (>= 0); requires distances when positive.
-    M : core-mass budget; None resolves to N/8 at fit time.
+    M : core-mass budget (> 0); None resolves to N/8 at fit time.
     glasso_tol : KKT max-norm tolerance of the graph subproblem.
     bca_rel_tol : relative objective-increase threshold of the outer loop.
     bca_max_iter : outer iteration cap.
     glasso_max_iter : sweep cap of the graph subproblem.
-    ridge : diagonal loading added to the empirical covariance.
+    ridge : diagonal loading (>= 0) added to the empirical covariance.
     """
 
     lam: float
@@ -215,34 +239,21 @@ class Hyperparams:
     glasso_max_iter: int = 1000
     ridge: float = 0.0
 
+    _RULES = {
+        "lam": "positive", "e": "nonnegative", "M": "positive",
+        "glasso_tol": "positive", "bca_rel_tol": "positive",
+        "bca_max_iter": "count", "glasso_max_iter": "count", "ridge": "nonnegative",
+    }
+
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not self.lam > 0:
-            raise ConfigError("lambda must be positive")
-        if self.e < 0:
-            raise ConfigError("distance coupling e must be nonnegative")
-        if self.M is not None and not self.M > 0:
-            raise ConfigError("core budget M must be positive")
-        for name in ("glasso_tol", "bca_rel_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("bca_max_iter", "glasso_max_iter"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be nonnegative")
+        for name, rule in self._RULES.items():
+            value = getattr(self, name)
+            if value is not None:
+                _check_setting(value, name, rule)
 
     def resolve_budget(self, n_nodes: int) -> float:
         """Concrete core-mass budget for an N-node problem (default N/8)."""
-        m = default_budget(n_nodes) if self.M is None else float(self.M)
-        if m > n_nodes:
-            raise ConfigError(
-                f"core budget M={m} infeasible for {n_nodes} nodes (M <= N)"
-            )
-        return m
+        return _check_budget(default_budget(n_nodes) if self.M is None else self.M, n_nodes)
 
 
 def default_budget(n_nodes: int) -> float:
@@ -275,8 +286,7 @@ def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
     -------
     ndarray of shape (N, N), exactly symmetric, PSD up to roundoff.
     """
-    if ridge < 0:
-        raise InputError("ridge must be nonnegative")
+    _check_setting(ridge, "ridge", "nonnegative")
     v = (X if isinstance(X, FeatureMatrix) else FeatureMatrix(X)).values
     n, d = v.shape
     centered = v - v.mean(axis=1, keepdims=True)
@@ -291,22 +301,22 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
                 eps_w: float = EPS_W) -> np.ndarray:
     """Upper bounds ``1 - eps_w + e*log(d_ij)`` on ``c_i + c_j``, as a matrix.
 
-    ``e`` must be finite and nonnegative.  The diagonal is ``inf`` (no
-    bound).  When ``e > 0`` the distance matrix is required, must be
-    N x N and must be strictly positive off the diagonal so the log term
-    is finite.
+    The one home of the distance rules: given distances must be N x N
+    whatever ``e``; ``e > 0`` requires them, strictly positive off the
+    diagonal so the log term is finite.  ``e`` must be finite and
+    nonnegative, ``eps_w`` finite and positive.  The diagonal is ``inf``
+    (no bound).
     """
-    if not 0 <= e < np.inf:
-        raise ConfigError(f"distance coupling e must be finite and nonnegative, got {e}")
+    _check_setting(e, "e", "nonnegative")
+    _check_setting(eps_w, "eps_w", "positive")
+    if dist is not None:
+        dv = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
+        if dv.shape != (n, n):
+            raise InputError(f"distance matrix is {'x'.join(map(str, dv.shape))} for {n} nodes")
     b = np.full((n, n), 1.0 - eps_w)
     if e > 0:
         if dist is None:
             raise ConfigError("distance coupling e > 0 requires distances")
-        dv = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
-        if dv.shape != (n, n):
-            raise InputError(
-                f"distance matrix shape {dv.shape} does not match {n} nodes"
-            )
         off = ~np.eye(n, dtype=bool)
         if dv[off].min() <= 0:
             raise ConfigError(

@@ -21,6 +21,7 @@ from .model import (
     DistanceMatrix,
     FeatureMatrix,
     Precision,
+    _check_setting,
     _inverse_logdet,
     compute_weights,
     default_budget,
@@ -92,12 +93,10 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
         raise InputError(f"c_true has {len(c_true)} entries for n={n}")
     if d < 1:
         raise InputError("need at least one sample column")
-    if not 0 < lam < np.inf:
-        raise InputError(f"lambda must be finite and positive, got {lam}")
-    if not 0 < pd_margin < np.inf:
-        raise ConfigError(f"pd_margin must be finite and positive, got {pd_margin}")
-    if sparsify_at is not None and not 0 <= sparsify_at < np.inf:
-        raise ConfigError(f"sparsify_at must be finite and nonnegative, got {sparsify_at}")
+    _check_setting(lam, "lam", "positive")
+    _check_setting(pd_margin, "pd_margin", "positive")
+    if sparsify_at is not None:
+        _check_setting(sparsify_at, "sparsify_at", "nonnegative")
 
     rng = np.random.default_rng(seed)
     w = compute_weights(c_true, dist, e).values

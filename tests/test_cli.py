@@ -59,7 +59,7 @@ class TestFit:
 
     def test_missing_distances_with_coupling(self, tmp_path, capsys):
         for flags, message in (
-            (["--e", "0.09"], "--distances"),
+            (["--e", "0.09"], "e > 0 requires distances"),
             # An infinite penalty would run to the outer cap and write NaN.
             (["--lambda", "inf"], "lam must be finite"),
         ):
@@ -260,12 +260,18 @@ class TestEval:
 
     def test_missing_truth_file(self, tmp_path, capsys):
         star = str(star_csv(tmp_path / "star.csv"))
+        scores = tmp_path / "c5.json"
+        write_scores_json(scores, planted_scores(5))
         for inputs, message in (
             ([str(tmp_path / "nope.csv")] * 2, "nope.csv"),
             # A negative threshold would make every pair an edge.
-            ([star, star, "--threshold", "-0.5"], "threshold must be nonnegative"),
-            ([star, star, "--threshold", "nan"], "threshold must be finite"),
-            ([star, star, "--threshold", "inf"], "threshold must be finite"),
+            ([star, star, "--threshold", "-0.5"], "threshold must be finite and nonnegative"),
+            ([star, star, "--threshold", "nan"], "threshold must be finite and nonnegative"),
+            ([star, star, "--threshold", "inf"], "threshold must be finite and nonnegative"),
+            # One table row per NAME: a repeat or a baseline would drop a file.
+            ([star, star, "--scores", f"a={scores}", "--scores", f"a={scores}"],
+             "NAME 'a' is repeated"),
+            ([star, star, "--scores", f"minres={scores}"], "NAME 'minres' is repeated or a"),
         ):
             truth, estimate, *flags = inputs
             code = main([
@@ -274,6 +280,7 @@ class TestEval:
             ])
             assert code == 1
             assert message in capsys.readouterr().err
+            assert not (tmp_path / "e" / "table.csv").exists()
 
 
 class TestGroupCompare:
@@ -339,8 +346,8 @@ class TestGrid:
             (["--lambdas", "0.1,abc"], "--lambdas expects a comma list"),
             (["--lambdas", "0.1", "--es", "0,x"], "--es expects a comma list"),
             (["--lambdas", "0.1,inf"], "lam must be finite"),
-            (["--lambdas", "0.1", "--jobs", "0"], "--jobs must be at least 1"),
-            (["--lambdas", "0.1", "--es", "0.09"], "--e > 0 requires --distances"),
+            (["--lambdas", "0.1", "--jobs", "0"], "jobs must be a whole number >= 1"),
+            (["--lambdas", "0.1", "--es", "0.09"], "e > 0 requires distances"),
         ):
             code = main([
                 "grid", "--features", str(FIXTURE / "features.csv"),
@@ -445,8 +452,9 @@ def _contract_runs(tmp_path):
     star = str(star_csv(tmp_path / "star.csv"))
     scores = tmp_path / "c.json"
     scores.write_text(json.dumps({"values": [0.5, 0.25, 0.25], "M": 1.0}))
-    dist30, dist5 = tmp_path / "d30.csv", tmp_path / "d5.csv"
+    dist30, dist12, dist5 = tmp_path / "d30.csv", tmp_path / "d12.csv", tmp_path / "d5.csv"
     write_matrix_csv(dist30, sample_coordinates(30, seed=0)[1].values)
+    write_matrix_csv(dist12, sample_coordinates(12, seed=0)[1].values)
     write_matrix_csv(dist5, sample_coordinates(5, seed=0)[1].values)
     scores30, scores5 = tmp_path / "c30.json", tmp_path / "c5.json"
     write_scores_json(scores30, planted_scores(30))
@@ -456,15 +464,19 @@ def _contract_runs(tmp_path):
         "fit": (["--features", features, "--distances", str(dist30), "--bca-max-iter", "2"], [
             ["--features", missing],
             ["--features", features, "--threshold", "nan"],
+            # Distances of the wrong size, even at e = 0.
+            ["--features", features, "--distances", str(dist12)],
         ]),
         "scores-from-graph": (["--graph", star, "--distances", str(dist5)], [
             ["--graph", missing],
             ["--graph", star, "--e", "-0.5"],
+            ["--graph", str(dist30), "--distances", str(dist12)],
         ]),
         "glasso": (["--features", features, "--scores", str(scores30),
                     "--distances", str(dist30)], [
             ["--features", missing],
             ["--features", features, "--threshold", "inf"],
+            ["--features", features, "--distances", str(dist12)],
         ]),
         "sample": (["--n", "8", "--d", "40"], [
             ["--n", "8", "--d", "0"],

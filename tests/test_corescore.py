@@ -186,10 +186,16 @@ class TestInfeasibility:
             core_score_lp(t, M=2.9)
 
     def test_budget_bounds_checked(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError, match="M must be finite and positive"):
             core_score_lp(np.eye(3), M=0.0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError, match="M <= N"):
             core_score_lp(np.eye(3), M=3.5)
+
+    def test_wrong_size_distances(self):
+        # Given distances must be N x N even when e = 0 leaves them unused.
+        dist = sample_coordinates(4, seed=0)[1]
+        with pytest.raises(InputError, match="distance matrix is 4x4 for 5 nodes"):
+            core_score_lp(star(), dist, e=0.0, M=1.0)
 
     def test_max_core_mass_closed_form(self):
         # For e = 0 the cap is N (1 - eps_w) / 2: all scores at b/2.

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from coreglasso import (
+    ConfigError,
+    Hyperparams,
     InputError,
     NotPositiveDefiniteError,
     compute_weights,
+    core_score_lp,
+    empirical_covariance,
     kkt_residual,
+    max_core_mass,
     support,
     weighted_glasso,
 )
@@ -123,22 +128,35 @@ class TestCertificate:
             weighted_glasso(s, uniform_weights(2), lam=0.1)
 
     def test_rejects_bad_scalars(self):
-        # lam and tol must be finite and positive; before this check
-        # lam=inf "converged" at a NaN objective, tol=nan ran to the cap,
-        # and kkt_residual scored lam=nan and lam=-5.
+        # Every scalar setting is checked by one rule and named in the
+        # error.  Unchecked, lam=inf "converged" at a NaN objective,
+        # tol=nan ran to the cap, kkt_residual scored lam=nan and lam=-5,
+        # ridge=nan was dropped and ridge=inf loaded an infinite diagonal,
+        # a fractional iteration cap died in range(), and a NaN or
+        # negative eps_w gave a NaN mass cap or passed unnoticed.
         s, w, theta = np.eye(6), uniform_weights(6), 2.0 * np.eye(6)
-        for call in (
-            lambda: weighted_glasso(s, w, lam=np.inf),
-            lambda: weighted_glasso(s, w, lam=np.nan),
-            lambda: weighted_glasso(s, w, lam=0.0),
-            lambda: weighted_glasso(s, w, lam=0.1, tol=np.nan),
-            lambda: weighted_glasso(s, w, lam=0.1, tol=np.inf),
-            lambda: weighted_glasso(s, w, lam=0.1, tol=0.0),
-            lambda: kkt_residual(theta, s, w, lam=np.nan),
-            lambda: kkt_residual(theta, s, w, lam=np.inf),
-            lambda: kkt_residual(theta, s, w, lam=-5.0),
+        for name, call in (
+            ("lam", lambda: weighted_glasso(s, w, lam=np.inf)),
+            ("lam", lambda: weighted_glasso(s, w, lam=np.nan)),
+            ("lam", lambda: weighted_glasso(s, w, lam=0.0)),
+            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=np.nan)),
+            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=np.inf)),
+            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=0.0)),
+            ("max_iter", lambda: weighted_glasso(s, w, lam=0.1, max_iter=2.5)),
+            ("max_iter", lambda: weighted_glasso(s, w, lam=0.1, max_iter=np.nan)),
+            ("lam", lambda: kkt_residual(theta, s, w, lam=np.nan)),
+            ("lam", lambda: kkt_residual(theta, s, w, lam=np.inf)),
+            ("lam", lambda: kkt_residual(theta, s, w, lam=-5.0)),
+            ("ridge", lambda: empirical_covariance(s, ridge=np.nan)),
+            ("ridge", lambda: empirical_covariance(s, ridge=np.inf)),
+            ("bca_max_iter", lambda: Hyperparams(lam=0.1, bca_max_iter=2.5)),
+            ("glasso_max_iter", lambda: Hyperparams(lam=0.1, glasso_max_iter=2.5)),
+            ("eps_w", lambda: max_core_mass(5, eps_w=np.nan)),
+            ("eps_w", lambda: compute_weights(np.zeros(6), eps_w=-0.5)),
+            ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=np.nan)),
+            ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=-0.5)),
         ):
-            with pytest.raises(InputError, match="must be finite and positive"):
+            with pytest.raises(ConfigError, match=f"^{name} must be (finite and|a whole number)"):
                 call()
 
     @pytest.mark.parametrize("lam", [0.01, 0.2, 1.0])
@@ -229,10 +247,8 @@ class TestSupport:
         assert support(theta, threshold=0.5).sum() == 0
 
     def test_rejects_negative_threshold(self):
-        with pytest.raises(InputError, match="threshold must be nonnegative"):
-            support(np.eye(2), threshold=-0.1)
-        for threshold in (np.nan, np.inf):
-            with pytest.raises(InputError, match="threshold must be finite"):
+        for threshold in (-0.1, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="threshold must be finite and nonnegative"):
                 support(np.eye(2), threshold=threshold)
 
     def test_solver_produces_exact_zeros(self, rng):

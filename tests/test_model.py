@@ -72,6 +72,8 @@ class TestTypes:
         assert h.resolve_budget(16) == 2.0
         with pytest.raises(ConfigError):
             Hyperparams(lam=0.1, M=10.0).resolve_budget(4)
+        # Every field has a range rule.
+        assert Hyperparams._RULES.keys() == {f.name for f in dataclasses.fields(Hyperparams)}
 
     @pytest.mark.parametrize("name", [
         f.name for f in dataclasses.fields(Hyperparams) if f.type in (float, float | None)
@@ -148,6 +150,12 @@ class TestComputeWeights:
         for e in (-1.0, np.nan, np.inf):
             with pytest.raises(ConfigError, match="e must be finite and nonnegative"):
                 pair_bounds(2, dist, e)
+
+    def test_wrong_size_distances(self):
+        # Given distances must be N x N even when e = 0 leaves them unused.
+        dist = DistanceMatrix(1.0 - np.eye(4))
+        with pytest.raises(InputError, match="distance matrix is 4x4 for 5 nodes"):
+            compute_weights(np.zeros(5), dist, e=0.0)
 
     def test_requires_distances_when_coupled(self):
         with pytest.raises(ConfigError):

@@ -91,7 +91,7 @@ class TestSampleInstance:
                 planted_scores(n)
         with pytest.raises(InputError, match="need at least 2 nodes"):
             sample_instance(1, 10, CoreScores(np.array([0.125]), budget=0.125), lam=10.0)
-        with pytest.raises(InputError, match="lambda"):
+        with pytest.raises(ConfigError, match="lam must be finite and positive"):
             sample_instance(6, 10, c, lam=np.inf)
         for kwargs in ({"pd_margin": np.inf}, {"sparsify_at": np.inf}, {"sparsify_at": -0.5}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
