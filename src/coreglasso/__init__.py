@@ -77,6 +77,7 @@ __all__ = [
     "minres_residual",
     "minres_scores",
     "order_by_scores",
+    "planted_scores",
     "sample_coordinates",
     "sample_instance",
     "scores_from_graph",

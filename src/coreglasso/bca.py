@@ -6,14 +6,15 @@ core-score linear program (edge magnitudes fixed by the current
 precision matrix).  Each half-step maximizes the joint objective over
 its own block, so the objective trace is nondecreasing up to solver
 tolerance; the loop stops when the relative increase per outer
-iteration falls below ``bca_rel_tol``.
+iteration falls below ``bca_rel_tol``, or, unconverged, after a graph
+step that hits its sweep cap.
 """
 
 import numpy as np
 
 from dataclasses import dataclass
 
-from .corescore import core_score_lp, max_core_mass
+from .corescore import _infeasible_budget, core_score_lp, max_core_mass
 from .errors import ConfigError, InputError
 from .glasso import GlassoResult, weighted_glasso
 from .model import (
@@ -26,6 +27,7 @@ from .model import (
     empirical_covariance,
     joint_objective,
     pair_bounds,
+    resolve_budget,
 )
 
 __all__ = ["FitResult", "fit", "fit_graph_given_scores"]
@@ -86,20 +88,17 @@ def fit(X, dist: DistanceMatrix | None = None,
 
     Returns
     -------
-    FitResult; ``converged`` is unset if the outer cap was reached or the
-    last graph step stopped at ``glasso_max_iter``.
+    FitResult; ``converged`` is set only when the relative-increase test
+    stopped the loop, not at the outer cap or a capped graph step.
     """
     if hyper is None:
         raise ConfigError("hyperparameters are required")
     fm = _as_features(X)
     n = fm.n_nodes
-    budget = hyper.resolve_budget(n)
+    budget = resolve_budget(hyper.M, n)
     cap = max_core_mass(n, dist, hyper.e)
     if budget > cap + 1e-9:
-        raise ConfigError(
-            f"core budget M={budget:.6g} exceeds the maximum feasible core "
-            f"mass {cap:.6g} under the pairwise bounds"
-        )
+        raise _infeasible_budget(budget, cap)
 
     s = empirical_covariance(fm, hyper.ridge)
     if np.diag(s).min() <= 0:
@@ -151,9 +150,12 @@ def fit(X, dist: DistanceMatrix | None = None,
         trace.append(obj)
         w = w_new
 
+        # A graph step stopped at its sweep cap is not a fixed point: stop
+        # unconverged rather than repeat capped steps.
+        if not gres.converged:
+            break
         if (obj - obj_prev) / max(1.0, abs(obj_prev)) < hyper.bca_rel_tol:
-            # A graph step stopped at its sweep cap is not a fixed point.
-            converged = gres.converged
+            converged = True
             break
         obj_prev = obj
 

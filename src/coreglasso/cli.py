@@ -41,7 +41,7 @@ from .io import (
     write_trace_csv,
 )
 from .metrics import compare_methods, group_compare, support_recovery
-from .model import CoreScores, DistanceMatrix, Hyperparams, _check_setting, default_budget
+from .model import CoreScores, DistanceMatrix, Hyperparams, _check_setting
 from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
@@ -143,7 +143,7 @@ def cmd_fit(args, out):
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_trace_csv(out / "trace.csv", result.objective_trace)
     return {
-        "resolved_M": hyper.resolve_budget(features.n_nodes),
+        "resolved_M": result.c.budget,
         "n_nodes": features.n_nodes,
         "n_samples": features.n_samples,
         "converged": result.converged,
@@ -155,13 +155,11 @@ def cmd_fit(args, out):
 
 def cmd_scores_from_graph(args, out):
     adjacency, labels = read_square_csv(args.graph, name="adjacency")
-    n = adjacency.shape[0]
     dist = _load_distances(args.distances)
-    budget = default_budget(n) if args.M is None else args.M
-    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=budget)
+    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=args.M)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     return {
-        "resolved_M": budget,
+        "resolved_M": result.c.budget,
         "objective": result.objective,
         "active_constraints": [list(p) for p in result.active_constraints],
     }

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import (EPS_W, CoreScores, _check_adjacency, _check_budget, _check_square_symmetric,
-                    pair_bounds)
+from .model import (EPS_W, CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds,
+                    resolve_budget)
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
@@ -90,6 +90,12 @@ def _solve(gains, bounds, mass):
     return c, iterations
 
 
+def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
+    """The one error for a budget beyond the maximum feasible core mass ``cap``."""
+    return InfeasibleError(f"core budget M={M:.6g} exceeds the maximum feasible core mass "
+                           f"{cap:.6g} under the pairwise bounds")
+
+
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
     """Largest feasible total core mass for the pairwise-bounded polytope."""
     bounds = pair_bounds(n, dist, e, eps_w)
@@ -107,7 +113,7 @@ def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> fl
     return float(c.sum())
 
 
-def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
+def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
                   eps_w: float = EPS_W, include_diagonal: bool = True) -> LpResult:
     """Solve the core-score linear program for given edge magnitudes.
 
@@ -116,7 +122,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     abs_theta : (N, N) symmetric nonnegative matrix
         Entry magnitudes of the precision matrix (or graph weights).
     dist, e : N x N spatial distances and their coupling strength.
-    M : total core mass; must lie in (0, N] and within the polytope.
+    M : total core mass in (0, N] and within the polytope; None means N/8.
     eps_w : slack closing the strict pairwise inequality.
     include_diagonal : bool
         Whether |T_ii| contributes to the gain of node i (the literal
@@ -132,7 +138,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
         raise InputError("abs_theta must have N >= 2 nodes")
     if t.min() < 0:
         raise InputError("abs_theta must be entrywise nonnegative")
-    _check_budget(M, n)
+    M = resolve_budget(M, n)
 
     gains = 2.0 * t.sum(axis=1)
     if not include_diagonal:
@@ -142,11 +148,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     try:
         c, iterations = _solve(gains, bounds, M)
     except InfeasibleError:
-        cap = max_core_mass(n, dist, e, eps_w)
-        raise InfeasibleError(
-            f"core budget M={M:.6g} exceeds the maximum feasible core mass "
-            f"{cap:.6g} under the pairwise bounds"
-        ) from None
+        raise _infeasible_budget(M, max_core_mass(n, dist, e, eps_w)) from None
 
     iu = np.triu_indices(n, k=1)
     tight = np.abs(c[iu[0]] + c[iu[1]] - bounds[iu]) <= 1e-7
@@ -162,13 +164,13 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float = 1.0,
     )
 
 
-def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float = 1.0,
+def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float | None = None,
                       eps_w: float = EPS_W) -> LpResult:
     """Estimate core scores for a known graph.
 
     Identical to :func:`core_score_lp` with the adjacency matrix playing
-    the role of the edge magnitudes; requires a zero diagonal and
-    nonnegative entries.
+    the role of the edge magnitudes (so ``M`` None means N/8); requires a
+    zero diagonal and nonnegative entries.
     """
     a = _check_adjacency(adjacency)
     return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w)

@@ -14,8 +14,9 @@ class ConfigError(CoreglassoError, ValueError):
     or settings that do not fit together (e.g. ``e > 0`` without distances)."""
 
 
-class InfeasibleError(CoreglassoError):
-    """The core-score polytope is empty for the requested budget."""
+class InfeasibleError(ConfigError):
+    """The core-score polytope is empty for the requested budget: a budget
+    beyond the maximum feasible core mass is a setting that does not fit."""
 
 
 class NotPositiveDefiniteError(CoreglassoError):

@@ -25,8 +25,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
-from .model import (Precision, WeightMatrix, _check_setting, _check_square_symmetric,
-                    _inverse_logdet)
+from .model import (Hyperparams, Precision, WeightMatrix, _check_setting,
+                    _check_square_symmetric, _inverse_logdet)
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -114,8 +114,8 @@ def _pair_value(t, th_ij, b_ii, b_jj, b_ij, s_ij, rho):
     return np.log(d) - 2.0 * s_ij * t - 2.0 * rho * abs(th_ij + t)
 
 
-def weighted_glasso(S, W, lam: float, tol: float = 1e-5,
-                    max_iter: int = 1000, warm_start=None) -> GlassoResult:
+def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
+                    max_iter: int = Hyperparams.glasso_max_iter, warm_start=None) -> GlassoResult:
     """Solve the weighted graphical lasso to a certified KKT tolerance.
 
     Parameters
@@ -241,10 +241,10 @@ def kkt_residual(theta, S, W, lam: float) -> float:
 
     Independent of the solver state: inverts ``theta`` afresh, so a
     returned ``GlassoResult`` can be certified from (theta, S, W, lam)
-    alone.
+    alone.  A raw ``theta`` is checked as a :class:`Precision`.
     """
     _check_setting(lam, "lam", "positive")
-    tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
+    tv = (theta if isinstance(theta, Precision) else Precision(theta)).values
     n = tv.shape[0]
     s = _check_square_symmetric(S, "covariance")
     rho = lam * _weights_array(W, n)
@@ -256,10 +256,11 @@ def kkt_residual(theta, S, W, lam: float) -> float:
 def support(theta, threshold: float = 0.0) -> np.ndarray:
     """Binary adjacency of the off-diagonal entries with ``|T_ij| > threshold``.
 
-    The default threshold 0 relies on the solver producing exact zeros.
+    Any square, finite, symmetric ``theta`` is accepted.  The default
+    threshold 0 relies on the solver producing exact zeros.
     """
     _check_setting(threshold, "threshold", "nonnegative")
-    tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
+    tv = theta.values if isinstance(theta, Precision) else _check_square_symmetric(theta, "matrix")
     adj = (np.abs(tv) > threshold).astype(np.int64)
     np.fill_diagonal(adj, 0)
     return adj

@@ -157,7 +157,7 @@ def write_scores_json(path, scores: CoreScores, labels=None) -> None:
 
 def write_edges_tsv(path, theta, threshold: float = 0.0) -> None:
     tv = np.asarray(theta.values if hasattr(theta, "values") else theta, float)
-    iu, ju = np.nonzero(np.triu(support(tv, threshold), 1))
+    iu, ju = np.nonzero(np.triu(support(theta, threshold), 1))
     _write_rows(path, zip(iu.tolist(), ju.tolist(), tv[iu, ju].tolist()),
                 header=("i", "j", "theta"), sep="\t")
 

@@ -28,12 +28,17 @@ class OrderedGraph:
     permutation: np.ndarray
 
 
+def _square(matrix) -> np.ndarray:
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"matrix must be square, got shape {m.shape}")
+    return m
+
+
 def order_by_scores(matrix, c) -> OrderedGraph:
     """Permute rows and columns by descending score, ties by index."""
-    m = np.asarray(matrix, dtype=float)
+    m = _square(matrix)
     cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("matrix must be square")
     if cv.shape[0] != m.shape[0]:
         raise InputError(
             f"{cv.shape[0]} scores for a {m.shape[0]}-node matrix"
@@ -54,7 +59,7 @@ def ideal_block_distance(ordered, t: int) -> float:
     The ideal model is an all-ones t-by-t upper-left block (diagonal
     included) and zeros elsewhere.
     """
-    m = ordered.matrix if isinstance(ordered, OrderedGraph) else np.asarray(ordered, float)
+    m = _square(ordered.matrix if isinstance(ordered, OrderedGraph) else ordered)
     n = m.shape[0]
     if not 1 <= t <= n:
         raise InputError(f"core size t={t} outside [1, {n}]")

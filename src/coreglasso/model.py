@@ -23,7 +23,7 @@ __all__ = [
     "Precision",
     "Hyperparams",
     "EPS_W",
-    "default_budget",
+    "resolve_budget",
     "empirical_covariance",
     "pair_bounds",
     "compute_weights",
@@ -203,14 +203,17 @@ def _check_setting(value, name: str, rule: str) -> None:
         raise ConfigError(f"{name} must be {want}, got {value}")
 
 
-def _check_budget(m, n_nodes: int) -> float:
-    """The core-mass budget rule: positive and at most N."""
-    _check_setting(m, "M", "positive")
-    if m > n_nodes:
+def resolve_budget(M, n_nodes: int) -> float:
+    """The one core-mass budget rule: None means N/8; otherwise ``M`` must
+    be finite, positive and at most N.  Raises :class:`ConfigError`."""
+    if M is None:
+        return n_nodes / 8.0
+    _check_setting(M, "M", "positive")
+    if M > n_nodes:
         raise ConfigError(
-            f"core budget M={m} infeasible for {n_nodes} nodes (M <= N)"
+            f"core budget M={M} infeasible for {n_nodes} nodes (M <= N)"
         )
-    return float(m)
+    return float(M)
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,7 @@ class Hyperparams:
     ----------
     lam : penalty scale (lambda > 0).
     e : distance coupling (>= 0); requires distances when positive.
-    M : core-mass budget (> 0); None resolves to N/8 at fit time.
+    M : core-mass budget (> 0); :func:`resolve_budget` makes None N/8.
     glasso_tol : KKT max-norm tolerance of the graph subproblem.
     bca_rel_tol : relative objective-increase threshold of the outer loop.
     bca_max_iter : outer iteration cap.
@@ -250,24 +253,6 @@ class Hyperparams:
             value = getattr(self, name)
             if value is not None:
                 _check_setting(value, name, rule)
-
-    def resolve_budget(self, n_nodes: int) -> float:
-        """Concrete core-mass budget for an N-node problem (default N/8)."""
-        return _check_budget(default_budget(n_nodes) if self.M is None else self.M, n_nodes)
-
-
-def default_budget(n_nodes: int) -> float:
-    """Core-mass budget used when none is given: N/8."""
-    return n_nodes / 8.0
-
-
-def _scores_vector(c) -> np.ndarray:
-    if isinstance(c, CoreScores):
-        return c.values
-    v = np.asarray(c, dtype=float)
-    if v.ndim != 1:
-        raise InputError("core scores must be a vector")
-    return v
 
 
 def empirical_covariance(X, ridge: float = 0.0) -> np.ndarray:
@@ -304,13 +289,13 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
     The one home of the distance rules: given distances must be N x N
     whatever ``e``; ``e > 0`` requires them, strictly positive off the
     diagonal so the log term is finite.  ``e`` must be finite and
-    nonnegative, ``eps_w`` finite and positive.  The diagonal is ``inf``
-    (no bound).
+    nonnegative, ``eps_w`` finite and positive; raw distances are checked
+    as a :class:`DistanceMatrix`.  The diagonal is ``inf`` (no bound).
     """
     _check_setting(e, "e", "nonnegative")
     _check_setting(eps_w, "eps_w", "positive")
     if dist is not None:
-        dv = dist.values if isinstance(dist, DistanceMatrix) else np.asarray(dist, float)
+        dv = (dist if isinstance(dist, DistanceMatrix) else DistanceMatrix(dist)).values
         if dv.shape != (n, n):
             raise InputError(f"distance matrix is {'x'.join(map(str, dv.shape))} for {n} nodes")
     b = np.full((n, n), 1.0 - eps_w)
@@ -333,9 +318,10 @@ def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
     """Per-edge penalty weights ``max(eps_w, 1 - c_i - c_j + e*log(d_ij))``.
 
     The weight is the slack of the pairwise bound of :func:`pair_bounds`
-    plus ``eps_w``.  The diagonal is left unpenalized (set to zero).
+    plus ``eps_w``.  The diagonal is left unpenalized (set to zero).  Raw
+    scores are checked as :class:`CoreScores` whose budget is their sum.
     """
-    cv = _scores_vector(c)
+    cv = (c if isinstance(c, CoreScores) else CoreScores(c, budget=np.sum(c))).values
     raw = pair_bounds(cv.shape[0], dist, e, eps_w) + eps_w - cv[:, None] - cv[None, :]
     w = np.maximum(eps_w, raw)
     np.fill_diagonal(w, 0.0)
@@ -359,9 +345,9 @@ def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
 
     The penalty sums over all ordered pairs i != j, so each undirected
     edge is counted twice; weights come from :func:`compute_weights` at
-    the given core scores.
+    the given core scores.  A raw ``theta`` is checked as a :class:`Precision`.
     """
-    tv = theta.values if isinstance(theta, Precision) else np.asarray(theta, float)
+    tv = (theta if isinstance(theta, Precision) else Precision(theta)).values
     _, logdet = _inverse_logdet(tv, "theta")
     w = compute_weights(c, dist, hyper.e).values
     penalty = hyper.lam * float((w * np.abs(tv)).sum())

@@ -24,7 +24,7 @@ from .model import (
     _check_setting,
     _inverse_logdet,
     compute_weights,
-    default_budget,
+    resolve_budget,
 )
 
 __all__ = ["SyntheticInstance", "sample_instance", "sample_coordinates", "planted_scores"]
@@ -47,13 +47,13 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
 
     The first ``floor(core_frac * n)`` nodes form the core; the rest
     share the leftover mass uniformly so the total equals ``budget``
-    (default ``n/8``).
+    (:func:`~coreglasso.model.resolve_budget`: None means ``n/8``).
     """
     if n < 2:
         raise InputError(f"need at least 2 nodes, got {n}")
     if not 0 <= core_frac <= 1:
         raise InputError("core_frac must lie in [0, 1]")
-    m = default_budget(n) if budget is None else float(budget)
+    m = resolve_budget(budget, n)
     n_core = int(np.floor(core_frac * n))
     c = np.zeros(n)
     c[:n_core] = core_value
@@ -91,8 +91,8 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
         raise InputError(f"need at least 2 nodes, got {n}")
     if len(c_true) != n:
         raise InputError(f"c_true has {len(c_true)} entries for n={n}")
-    if d < 1:
-        raise InputError("need at least one sample column")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InputError(f"need a whole number >= 1 of sample columns, got {d}")
     _check_setting(lam, "lam", "positive")
     _check_setting(pd_margin, "pd_margin", "positive")
     if sparsify_at is not None:

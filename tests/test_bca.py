@@ -5,6 +5,7 @@ from coreglasso import (
     ConfigError,
     CoreScores,
     Hyperparams,
+    InfeasibleError,
     compute_weights,
     empirical_covariance,
     fit,
@@ -13,6 +14,7 @@ from coreglasso import (
     support,
     weighted_glasso,
 )
+from coreglasso.model import resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 
@@ -100,6 +102,13 @@ class TestFit:
         with pytest.raises(ConfigError, match="maximum feasible"):
             fit(x, hyper=Hyperparams(lam=0.1, M=5.9))
 
+    def test_infeasible_budget_is_a_config_error(self, rng):
+        # M <= N passes the budget rule; the pairwise bounds cap it at ~2.
+        x = rng.standard_normal((4, 50))
+        with pytest.raises(InfeasibleError, match="maximum feasible") as info:
+            fit(x, hyper=Hyperparams(lam=0.1, M=3.0))
+        assert isinstance(info.value, ConfigError)
+
     def test_requires_distances_when_coupled(self, rng):
         x = rng.standard_normal((6, 50))
         with pytest.raises(ConfigError, match="distances"):
@@ -112,13 +121,18 @@ class TestFit:
 
 
     def test_capped_graph_step_is_not_converged(self):
-        # Every graph step stops at the 20-sweep cap while the outer
-        # relative-increase test passes: the fit is not a fixed point.
-        inst = sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0)
-        hyper = Hyperparams(lam=0.2, glasso_max_iter=20, bca_rel_tol=1e-2)
-        res = fit(inst.X, hyper=hyper)
-        assert res.outer_iterations < hyper.bca_max_iter
-        assert not res.converged
+        # d < N without ridge: the first graph step stops at its 20-sweep
+        # cap, so the fit stops there, unconverged, after one iteration.
+        cases = [
+            (sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0).X,
+             Hyperparams(lam=0.2, glasso_max_iter=20, bca_rel_tol=1e-2)),
+            (np.random.default_rng(0).standard_normal((30, 10)),
+             Hyperparams(lam=0.1, glasso_max_iter=20)),
+        ]
+        for x, hyper in cases:
+            res = fit(x, hyper=hyper)
+            assert res.outer_iterations == 1
+            assert not res.converged
 
 
 class TestFitGraphGivenScores:
@@ -146,7 +160,7 @@ class TestFitGraphGivenScores:
         s = empirical_covariance(instance20.X)
         for e in (0.0, 0.09):
             hyper = Hyperparams(lam=0.05, e=e, bca_max_iter=1)
-            budget = hyper.resolve_budget(n)
+            budget = resolve_budget(hyper.M, n)
             c0 = CoreScores(np.full(n, budget / n), budget=budget)
             half = fit_graph_given_scores(instance20.X, c0, dist, hyper=hyper)
             full = fit(instance20.X, dist, hyper=hyper)

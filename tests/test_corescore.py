@@ -185,6 +185,15 @@ class TestInfeasibility:
         with pytest.raises(InfeasibleError, match="maximum feasible core mass"):
             core_score_lp(t, M=2.9)
 
+    def test_default_budget_is_n_over_8(self):
+        # Without M both entries use the N/8 of every other entry point.
+        a = star()
+        n = a.shape[0]
+        for call in (scores_from_graph, core_score_lp):
+            default, explicit = call(a), call(a, M=n / 8)
+            np.testing.assert_array_equal(default.c.values, explicit.c.values)
+            assert default.c.budget == n / 8
+
     def test_budget_bounds_checked(self):
         with pytest.raises(ConfigError, match="M must be finite and positive"):
             core_score_lp(np.eye(3), M=0.0)

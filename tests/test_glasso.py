@@ -183,6 +183,11 @@ class TestCertificate:
                 expected = max(expected, entry)
         assert kkt_residual(theta, s, w, lam) == pytest.approx(expected, rel=1e-10)
 
+    def test_kkt_residual_rejects_asymmetric_theta(self):
+        # A raw theta is checked as a Precision before any residual.
+        with pytest.raises(InputError, match="must be symmetric"):
+            kkt_residual([[2, 1], [0, 2]], np.eye(2), np.ones((2, 2)), 0.1)
+
     def test_rejects_non_pd_warm_start(self, rng):
         s = rand_pd(3, rng)
         bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

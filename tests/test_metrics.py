@@ -37,6 +37,10 @@ class TestOrderByScores:
         with pytest.raises(InputError):
             order_by_scores(np.eye(3), np.ones(4))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="must be square"):
+            order_by_scores(np.ones((2, 3)), np.ones(2))
+
 
 class TestIdealBlockDistance:
     def test_exact_ideal_is_zero(self):
@@ -71,6 +75,10 @@ class TestIdealBlockDistance:
         perm = np.concatenate([rng.permutation(t), t + rng.permutation(n - t)])
         permuted = m[np.ix_(perm, perm)]
         assert ideal_block_distance(permuted, t=t) == pytest.approx(base)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="must be square"):
+            ideal_block_distance(np.ones((2, 3)), 1)
 
     def test_t_out_of_range(self):
         with pytest.raises(InputError):

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import coreglasso
 
 from coreglasso import (
     CoreScores,
@@ -21,7 +24,7 @@ from coreglasso import (
     empirical_covariance,
     joint_objective,
 )
-from coreglasso.model import EPS_W, pair_bounds
+from coreglasso.model import EPS_W, pair_bounds, resolve_budget
 
 from conftest import rand_pd
 
@@ -69,9 +72,9 @@ class TestTypes:
         with pytest.raises(ConfigError):
             Hyperparams(lam=0.1, bca_max_iter=0)
         h = Hyperparams(lam=0.1)
-        assert h.resolve_budget(16) == 2.0
+        assert resolve_budget(h.M, 16) == 2.0
         with pytest.raises(ConfigError):
-            Hyperparams(lam=0.1, M=10.0).resolve_budget(4)
+            resolve_budget(Hyperparams(lam=0.1, M=10.0).M, 4)
         # Every field has a range rule.
         assert Hyperparams._RULES.keys() == {f.name for f in dataclasses.fields(Hyperparams)}
 
@@ -82,6 +85,12 @@ class TestTypes:
         fields = {"lam": 0.1, name: float("inf")}
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             Hyperparams(**fields)
+
+
+def test_package_all_lists_every_public_name():
+    public = {name for name, value in vars(coreglasso).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public <= set(coreglasso.__all__), public - set(coreglasso.__all__)
 
 
 class TestEmpiricalCovariance:
@@ -156,6 +165,13 @@ class TestComputeWeights:
         dist = DistanceMatrix(1.0 - np.eye(4))
         with pytest.raises(InputError, match="distance matrix is 4x4 for 5 nodes"):
             compute_weights(np.zeros(5), dist, e=0.0)
+
+    def test_raw_inputs_checked_as_their_types(self):
+        # Raw scores are CoreScores (in [0, 1]); raw distances a DistanceMatrix.
+        with pytest.raises(InputError, match=r"outside \[0, 1\]"):
+            compute_weights(np.array([2.0, 0, 0]))
+        with pytest.raises(InputError, match="distance matrix must be symmetric"):
+            pair_bounds(2, [[0, 1], [2, 0]], 0.09)
 
     def test_requires_distances_when_coupled(self):
         with pytest.raises(ConfigError):

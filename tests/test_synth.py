@@ -84,8 +84,9 @@ class TestSampleInstance:
             sample_instance(6, 10, c, lam=10.0, pd_margin=0.0)
         with pytest.raises(InputError):
             sample_instance(7, 10, c, lam=10.0)
-        with pytest.raises(InputError):
-            sample_instance(6, 0, c, lam=10.0)
+        for d in (0, 2.5):
+            with pytest.raises(InputError, match="sample column"):
+                sample_instance(6, d, c, lam=10.0)
         for n in (1, 0, -2):
             with pytest.raises(InputError, match="need at least 2 nodes"):
                 planted_scores(n)
@@ -134,6 +135,12 @@ class TestPlantedScores:
     def test_no_core_block(self):
         c = planted_scores(2)
         np.testing.assert_allclose(c.values, [0.125, 0.125])
+
+    @pytest.mark.parametrize("kwargs", [{"budget": 9}, {"core_frac": 0, "budget": 0}])
+    def test_budget_rule(self, kwargs):
+        # The budget rule of every entry point: finite, positive, at most N.
+        with pytest.raises(ConfigError, match="M"):
+            planted_scores(8, **kwargs)
 
     def test_overfull_core_rejected(self):
         with pytest.raises(ConfigError):
