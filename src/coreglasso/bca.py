@@ -5,9 +5,9 @@ precision matrix (weights fixed by the current core scores) and the
 core-score linear program (edge magnitudes fixed by the current
 precision matrix).  Each half-step maximizes the joint objective over
 its own block, so the objective trace is nondecreasing up to solver
-tolerance; the loop stops when the relative increase per outer
-iteration falls below ``bca_rel_tol``, or, unconverged, after a graph
-step that hits its sweep cap.
+tolerance.  It stops converged once a score step leaves the graph
+KKT-optimal within ``glasso_tol`` under the new weights (a partial
+optimum), and unconverged at a capped graph step or ``bca_max_iter``.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .corescore import _infeasible_budget, core_score_lp, max_core_mass
 from .errors import ConfigError, InputError
-from .glasso import GlassoResult, weighted_glasso
+from .glasso import GlassoResult, kkt_residual, weighted_glasso
 from .model import (
     CoreScores,
     DistanceMatrix,
@@ -25,7 +25,7 @@ from .model import (
     Precision,
     compute_weights,
     empirical_covariance,
-    joint_objective,
+    joint_objective,  # unused here, but perfbench/bench.py wraps bca.joint_objective
     pair_bounds,
     resolve_budget,
 )
@@ -88,8 +88,9 @@ def fit(X, dist: DistanceMatrix | None = None,
 
     Returns
     -------
-    FitResult; ``converged`` is set only when the relative-increase test
-    stopped the loop, not at the outer cap or a capped graph step.
+    FitResult; ``converged`` certifies a partial optimum: ``theta`` is
+    KKT-optimal within ``glasso_tol`` for the weights of ``c``, which
+    solves the score LP for ``|theta|``.  Hitting either cap leaves it False.
     """
     if hyper is None:
         raise ConfigError("hyperparameters are required")
@@ -114,17 +115,11 @@ def fit(X, dist: DistanceMatrix | None = None,
                 f"c_init has budget {c_init.budget:.6g}, the fit has M={budget:.6g}"
             )
         c = c_init
-    theta = None
-    if theta_init is not None:
-        theta = theta_init if isinstance(theta_init, Precision) else Precision(theta_init)
-
-    ref = np.diag(1.0 / np.diag(s)) if theta is None else theta
-    obj_prev = joint_objective(ref, c, s, hyper, dist)
+    theta = theta_init  # weighted_glasso checks it as a Precision
 
     w = compute_weights(c, dist, hyper.e)
     trace: list[float] = []
     converged = False
-    outer = 0
     for outer in range(1, hyper.bca_max_iter + 1):
         gres = weighted_glasso(
             s, w, hyper.lam,
@@ -150,14 +145,13 @@ def fit(X, dist: DistanceMatrix | None = None,
         trace.append(obj)
         w = w_new
 
-        # A graph step stopped at its sweep cap is not a fixed point: stop
-        # unconverged rather than repeat capped steps.
+        # A capped graph step is not a fixed point: stop unconverged.  Else
+        # stop once theta is KKT-optimal under the new weights too.
         if not gres.converged:
             break
-        if (obj - obj_prev) / max(1.0, abs(obj_prev)) < hyper.bca_rel_tol:
+        if kkt_residual(theta, s, w, hyper.lam) <= hyper.glasso_tol:
             converged = True
             break
-        obj_prev = obj
 
     return FitResult(
         theta=theta,

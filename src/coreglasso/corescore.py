@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import (EPS_W, CoreScores, _check_adjacency, _check_square_symmetric, pair_bounds,
-                    resolve_budget)
+from .model import (EPS_W, CoreScores, _check_adjacency, _check_setting, _check_square_symmetric,
+                    pair_bounds, resolve_budget)
 from .simplex import simplex_solve
 
 __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
@@ -98,6 +98,7 @@ def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
     """Largest feasible total core mass for the pairwise-bounded polytope."""
+    _check_setting(n, "n", "count")
     bounds = pair_bounds(n, dist, e, eps_w)
     if np.min(bounds) < 0:
         i, j = np.unravel_index(np.argmin(bounds), bounds.shape)

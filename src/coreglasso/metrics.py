@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .glasso import support
-from .model import CoreScores
+from .model import CoreScores, _check_setting
 
 __all__ = [
     "OrderedGraph",
@@ -163,7 +163,8 @@ def group_compare(scores_a, scores_b, k: int = 10):
     if mean_a.shape != mean_b.shape:
         raise InputError("groups have different score lengths")
     n = mean_a.shape[0]
-    if not 1 <= k <= n:
+    _check_setting(k, "k", "count")
+    if k > n:
         raise InputError(f"k={k} outside [1, {n}]")
     diff = np.abs(mean_a - mean_b)
     top = np.argsort(-diff, kind="stable")[:k]

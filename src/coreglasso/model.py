@@ -226,8 +226,7 @@ class Hyperparams:
     lam : penalty scale (lambda > 0).
     e : distance coupling (>= 0); requires distances when positive.
     M : core-mass budget (> 0); :func:`resolve_budget` makes None N/8.
-    glasso_tol : KKT max-norm tolerance of the graph subproblem.
-    bca_rel_tol : relative objective-increase threshold of the outer loop.
+    glasso_tol : KKT max-norm tolerance of the graph step and of fit's stop.
     bca_max_iter : outer iteration cap.
     glasso_max_iter : sweep cap of the graph subproblem.
     ridge : diagonal loading (>= 0) added to the empirical covariance.
@@ -237,15 +236,14 @@ class Hyperparams:
     e: float = 0.0
     M: float | None = None
     glasso_tol: float = 1e-5
-    bca_rel_tol: float = 1e-5
     bca_max_iter: int = 50
     glasso_max_iter: int = 1000
     ridge: float = 0.0
 
     _RULES = {
         "lam": "positive", "e": "nonnegative", "M": "positive",
-        "glasso_tol": "positive", "bca_rel_tol": "positive",
-        "bca_max_iter": "count", "glasso_max_iter": "count", "ridge": "nonnegative",
+        "glasso_tol": "positive", "bca_max_iter": "count",
+        "glasso_max_iter": "count", "ridge": "nonnegative",
     }
 
     def __post_init__(self):

@@ -51,6 +51,7 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     """
     if n < 2:
         raise InputError(f"need at least 2 nodes, got {n}")
+    _check_setting(n, "n", "count")
     if not 0 <= core_frac <= 1:
         raise InputError("core_frac must lie in [0, 1]")
     m = resolve_budget(budget, n)
@@ -89,6 +90,7 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     """
     if n < 2:
         raise InputError(f"need at least 2 nodes, got {n}")
+    _check_setting(n, "n", "count")
     if len(c_true) != n:
         raise InputError(f"c_true has {len(c_true)} entries for n={n}")
     if not isinstance(d, (int, np.integer)) or d < 1:
@@ -137,6 +139,7 @@ def sample_coordinates(n: int, seed: int = 0):
     """
     if n < 2:
         raise InputError("need at least 2 nodes")
+    _check_setting(n, "n", "count")
     rng = np.random.default_rng(seed)
     off = ~np.eye(n, dtype=bool)
     for _ in range(100):

@@ -11,10 +11,11 @@ from coreglasso import (
     fit,
     fit_graph_given_scores,
     joint_objective,
+    kkt_residual,
     support,
     weighted_glasso,
 )
-from coreglasso.model import resolve_budget
+from coreglasso.model import EPS_W, resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 
@@ -25,13 +26,17 @@ def instance20():
 
 class TestFit:
     def test_huge_lambda_decouples(self, rng):
+        # The score LP may push a pair's weight down to its floor EPS_W, so
+        # theta is diagonal under every score vector when
+        # lam * EPS_W > max_{i != j} |S_ij|.
         x = rng.standard_normal((8, 100))
-        res = fit(x, hyper=Hyperparams(lam=100.0))
-        theta = res.theta.values
+        lam = 1e3
         off = ~np.eye(8, dtype=bool)
-        assert np.abs(theta[off]).max() == 0.0
+        assert lam * EPS_W > np.abs(empirical_covariance(x)[off]).max()
+        res = fit(x, hyper=Hyperparams(lam=lam))
+        assert np.abs(res.theta.values[off]).max() == 0.0
         assert res.converged
-        assert res.outer_iterations <= 2
+        assert res.outer_iterations == 1
 
     def test_isotropic_gaussian_properties(self, rng):
         x = rng.standard_normal((12, 600))
@@ -125,7 +130,7 @@ class TestFit:
         # cap, so the fit stops there, unconverged, after one iteration.
         cases = [
             (sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0).X,
-             Hyperparams(lam=0.2, glasso_max_iter=20, bca_rel_tol=1e-2)),
+             Hyperparams(lam=0.2, glasso_max_iter=20)),
             (np.random.default_rng(0).standard_normal((30, 10)),
              Hyperparams(lam=0.1, glasso_max_iter=20)),
         ]
@@ -133,6 +138,21 @@ class TestFit:
             res = fit(x, hyper=hyper)
             assert res.outer_iterations == 1
             assert not res.converged
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1])
+    @pytest.mark.parametrize("n, d", [(10, 200), (60, 1200)])
+    def test_converged_is_a_partial_optimum(self, n, d, lam):
+        # converged certifies that theta meets its KKT conditions under the
+        # weights of the returned scores (the scores solve the LP for
+        # |theta| by construction), so neither block solve would move.
+        _, dist = sample_coordinates(n, seed=3)
+        inst = sample_instance(n, d, planted_scores(n), lam=100.0, seed=3)
+        hyper = Hyperparams(lam=lam, e=0.09)
+        res = fit(inst.X, dist, hyper=hyper)
+        assert res.converged
+        w = compute_weights(res.c, dist, hyper.e)
+        s = empirical_covariance(inst.X)
+        assert kkt_residual(res.theta, s, w, lam) <= hyper.glasso_tol
 
 
 class TestFitGraphGivenScores:

@@ -87,15 +87,15 @@ class TestFit:
         assert (out / "scores.json").exists()
 
     def test_capped_graph_step_exit_two(self, tmp_path):
-        # The outer loop stops on its relative tolerance, but every graph
-        # step hit the sweep cap: unconverged, so exit code 2.
+        # d < N without ridge: the first graph step hits its sweep cap, so
+        # the fit stops there unconverged, with exit code 2.
         inst = sample_instance(30, 5, planted_scores(30), lam=100.0, seed=0)
         features = tmp_path / "x.csv"
         write_matrix_csv(features, inst.X.values)
         out = tmp_path / "o"
         code = main([
             "fit", "--features", str(features), "--lambda", "0.2",
-            "--glasso-max-iter", "20", "--bca-rel-tol", "1e-2",
+            "--glasso-max-iter", "20",
             "--out", str(out),
         ])
         assert code == 2
@@ -428,8 +428,10 @@ class TestGrid:
     ("glasso", ["--eps-w", "1e-3"]),
     ("grid", ["--eps-w", "1e-3"]),
     ("scores-from-graph", ["--eps-w", "nan"]),
+    ("fit", ["--bca-rel-tol", "1e-5"]),
+    ("grid", ["--bca-rel-tol", "1e-5"]),
 ], ids=["fit-lp-tol", "glasso-bca-max-iter", "glasso-M", "fit-eps-w", "glasso-eps-w",
-        "grid-eps-w", "scores-from-graph-eps-w"])
+        "grid-eps-w", "scores-from-graph-eps-w", "fit-bca-rel-tol", "grid-bca-rel-tol"])
 def test_unused_flags_rejected(tmp_path, capsys, command, flag):
     # A flag the command would not apply does not exist.
     features = str(FIXTURE / "features.csv")

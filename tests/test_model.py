@@ -87,6 +87,19 @@ class TestTypes:
             Hyperparams(**fields)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: coreglasso.planted_scores(8.5), "n"),
+    (lambda: coreglasso.sample_instance(4.0, 5, coreglasso.planted_scores(4), lam=1.0), "n"),
+    (lambda: coreglasso.sample_coordinates(3.5), "n"),
+    (lambda: coreglasso.max_core_mass(3.5), "n"),
+    (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=2.5), "k"),
+], ids=["planted_scores", "sample_instance", "sample_coordinates", "max_core_mass",
+        "group_compare"])
+def test_sizes_must_be_whole_numbers(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a whole number >= 1"):
+        call()
+
+
 def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
