@@ -11,7 +11,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .model import _check_adjacency
+from .model import _check_adjacency, _check_setting
 
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 
@@ -49,6 +49,8 @@ def minres_scores(A, tol: float = 1e-6, max_iter: int = 500) -> BaselineScores:
     whose infimum is only approached, e.g. stars).  Raw scores are then
     min-max scaled to [0, 1].
     """
+    _check_setting(tol, "tol", "positive")
+    _check_setting(max_iter, "max_iter", "count")
     a = _check_adjacency(A)
     n = a.shape[0]
     degrees = a.sum(axis=1)

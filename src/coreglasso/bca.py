@@ -20,7 +20,6 @@ from .glasso import GlassoResult, kkt_residual, weighted_glasso
 from .model import (
     CoreScores,
     DistanceMatrix,
-    FeatureMatrix,
     Hyperparams,
     Precision,
     compute_weights,
@@ -49,10 +48,6 @@ class FitResult:
     objective_trace: tuple[float, ...]
     outer_iterations: int
     converged: bool
-
-
-def _as_features(X) -> FeatureMatrix:
-    return X if isinstance(X, FeatureMatrix) else FeatureMatrix(np.asarray(X, float))
 
 
 def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
@@ -94,18 +89,13 @@ def fit(X, dist: DistanceMatrix | None = None,
     """
     if hyper is None:
         raise ConfigError("hyperparameters are required")
-    fm = _as_features(X)
-    n = fm.n_nodes
+    s = empirical_covariance(X, hyper.ridge)
+    n = s.shape[0]
     budget = resolve_budget(hyper.M, n)
     cap = max_core_mass(n, dist, hyper.e)
     if budget > cap + 1e-9:
         raise _infeasible_budget(budget, cap)
 
-    s = empirical_covariance(fm, hyper.ridge)
-    if np.diag(s).min() <= 0:
-        raise InputError(
-            "a node has zero sample variance; add ridge or drop the node"
-        )
     if c_init is None:
         c = CoreScores(np.full(n, budget / n), budget=budget)
     else:
@@ -173,9 +163,8 @@ def fit_graph_given_scores(X, c: CoreScores,
     """
     if hyper is None:
         raise ConfigError("hyperparameters are required")
-    fm = _as_features(X)
-    _check_scores(c, fm.n_nodes, dist, hyper)
-    s = empirical_covariance(fm, hyper.ridge)
+    s = empirical_covariance(X, hyper.ridge)
+    _check_scores(c, s.shape[0], dist, hyper)
     w = compute_weights(c, dist, hyper.e)
     return weighted_glasso(
         s, w, hyper.lam, tol=hyper.glasso_tol, max_iter=hyper.glasso_max_iter

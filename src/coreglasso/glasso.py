@@ -25,8 +25,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
-from .model import (Hyperparams, Precision, WeightMatrix, _check_setting,
-                    _check_square_symmetric, _inverse_logdet)
+from .model import (Hyperparams, Precision, _check_setting, _check_square_symmetric,
+                    _graph_problem, _inverse_logdet, _objective)
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -45,18 +45,6 @@ class GlassoResult:
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...] = ()
-
-
-def _weights_array(W, n: int) -> np.ndarray:
-    if isinstance(W, WeightMatrix):
-        wv = W.values
-    else:
-        wv = _check_square_symmetric(W, "weight matrix")
-        if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
-            raise InputError("weights must be nonnegative")
-    if wv.shape != (n, n):
-        raise InputError(f"weight matrix shape {wv.shape}, expected {(n, n)}")
-    return wv
 
 
 def _refresh_inverse(theta: np.ndarray, sweep: int):
@@ -130,32 +118,22 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
         Max-norm bound on the KKT residual at convergence, finite and > 0.
     max_iter : int
         Sweep cap, an integer >= 1; hitting it returns ``converged=False``.
-    warm_start : optional Precision (or array validated as one) used as
-        the initial iterate.
+    warm_start : optional Precision (or array validated as one) of the
+        shape of ``S``, used as the initial iterate.
 
     Returns
     -------
     GlassoResult
     """
-    s = _check_square_symmetric(S, "covariance")
+    s, rho, theta = _graph_problem(S, W, lam, warm_start)
+    _check_setting(tol, "tol", "positive")
+    _check_setting(max_iter, "max_iter", "count")
     n = s.shape[0]
     diag_s = np.diag(s).copy()
     if diag_s.min() <= 0:
-        raise InputError("covariance diagonal must be strictly positive")
-    _check_setting(lam, "lam", "positive")
-    _check_setting(tol, "tol", "positive")
-    _check_setting(max_iter, "max_iter", "count")
-    rho = lam * _weights_array(W, n)
-    np.fill_diagonal(rho, 0.0)
-
-    if warm_start is not None:
-        if not isinstance(warm_start, Precision):
-            warm_start = Precision(warm_start)
-        if warm_start.n_nodes != n:
-            raise InputError("warm start shape mismatch")
-        theta = warm_start.values.copy()
-    else:
-        theta = np.diag(1.0 / diag_s)
+        raise InputError("covariance diagonal must be strictly positive: a node has "
+                         "zero sample variance; add ridge or drop the node")
+    theta = np.diag(1.0 / diag_s) if theta is None else theta.copy()
 
     inv, _ = _refresh_inverse(theta, 0)
     trace: list[float] = []
@@ -212,8 +190,7 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
 
         inv, logdet = _refresh_inverse(theta, sweep)
         kkt = _kkt_from_inverse(theta, inv, s, rho)
-        objective = logdet - float((s * theta).sum()) - float((rho * np.abs(theta)).sum())
-        trace.append(objective)
+        trace.append(_objective(theta, logdet, s, rho))
         if kkt <= tol:
             converged = True
             break
@@ -241,14 +218,10 @@ def kkt_residual(theta, S, W, lam: float) -> float:
 
     Independent of the solver state: inverts ``theta`` afresh, so a
     returned ``GlassoResult`` can be certified from (theta, S, W, lam)
-    alone.  A raw ``theta`` is checked as a :class:`Precision`.
+    alone.  The inputs are checked as in :func:`weighted_glasso`, with
+    ``theta`` in place of the warm start.
     """
-    _check_setting(lam, "lam", "positive")
-    tv = (theta if isinstance(theta, Precision) else Precision(theta)).values
-    n = tv.shape[0]
-    s = _check_square_symmetric(S, "covariance")
-    rho = lam * _weights_array(W, n)
-    np.fill_diagonal(rho, 0.0)
+    s, rho, tv = _graph_problem(S, W, lam, theta)
     inv, _ = _inverse_logdet(tv, "theta")
     return _kkt_from_inverse(tv, inv, s, rho)
 

@@ -63,6 +63,7 @@ def ideal_block_distance(ordered, t: int) -> float:
     n = m.shape[0]
     if not 1 <= t <= n:
         raise InputError(f"core size t={t} outside [1, {n}]")
+    _check_setting(t, "t", "count")
     return float(((m - _ideal_block(n, t)) ** 2).sum())
 
 
@@ -98,7 +99,7 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     n = sizes[0]
     if any(sz != n for sz in sizes):
         raise InputError("truth and estimate dimensions differ")
-    t_core = max(1, n // 4) if t is None else int(t)
+    t_core = max(1, n // 4) if t is None else t
 
     rows = []
     for method, scores in scores_by_method.items():

@@ -143,7 +143,8 @@ class CoreScores:
             )
         # Snap solver-level roundoff back onto the box.
         v = np.clip(v, 0.0, 1.0)
-        if abs(float(v.sum()) - float(self.budget)) > _SUM_TOL:
+        # Written to fail closed: a NaN budget fails the test.
+        if not abs(float(v.sum()) - float(self.budget)) <= _SUM_TOL:
             raise InputError(
                 f"core scores sum to {v.sum()}, budget is {self.budget}"
             )
@@ -337,16 +338,46 @@ def _inverse_logdet(v: np.ndarray, name: str):
     return 0.5 * (inv + inv.T), 2.0 * float(np.log(np.diag(factor[0])).sum())
 
 
+def _graph_problem(S, W, lam, theta=None):
+    """The one check of a graph-step problem; returns ``(S, lam * W, theta)``.
+
+    ``lam`` must be positive, ``S`` square and symmetric, and ``W`` of its
+    shape and nonnegative off the diagonal (a :class:`WeightMatrix` is
+    trusted); the penalty gets a zero diagonal.  A given ``theta`` is
+    checked as a :class:`Precision` of the same shape; None stays None.
+    """
+    _check_setting(lam, "lam", "positive")
+    s = _check_square_symmetric(S, "covariance")
+    if isinstance(W, WeightMatrix):
+        wv = W.values
+    else:
+        wv = _check_square_symmetric(W, "weight matrix")
+        if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
+            raise InputError("weights must be nonnegative")
+    tv = None if theta is None else (
+        theta if isinstance(theta, Precision) else Precision(theta)).values
+    for name, v in (("weight matrix", wv), ("theta", tv)):
+        if v is not None and v.shape != s.shape:
+            raise InputError(f"{name} shape {v.shape}, covariance shape {s.shape}")
+    rho = lam * wv
+    np.fill_diagonal(rho, 0.0)
+    return s, rho, tv
+
+
+def _objective(theta, logdet: float, S, rho) -> float:
+    """The graph-step objective ``log det T - tr(S T) - sum_ij rho_ij |T_ij|``."""
+    return logdet - float((S * theta).sum()) - float((rho * np.abs(theta)).sum())
+
+
 def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
                     dist: DistanceMatrix | None = None) -> float:
     """Joint MAP objective ``log det T - tr(S T) - lam * sum_ij w_ij |T_ij|``.
 
     The penalty sums over all ordered pairs i != j, so each undirected
     edge is counted twice; weights come from :func:`compute_weights` at
-    the given core scores.  A raw ``theta`` is checked as a :class:`Precision`.
+    the given core scores.  ``theta``, ``S`` and the weights are checked
+    together by :func:`_graph_problem`, so they must share one N x N shape.
     """
-    tv = (theta if isinstance(theta, Precision) else Precision(theta)).values
+    s, rho, tv = _graph_problem(S, compute_weights(c, dist, hyper.e), hyper.lam, theta)
     _, logdet = _inverse_logdet(tv, "theta")
-    w = compute_weights(c, dist, hyper.e).values
-    penalty = hyper.lam * float((w * np.abs(tv)).sum())
-    return logdet - float((S * tv).sum()) - penalty
+    return _objective(tv, logdet, s, rho)

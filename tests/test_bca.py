@@ -6,6 +6,7 @@ from coreglasso import (
     CoreScores,
     Hyperparams,
     InfeasibleError,
+    InputError,
     compute_weights,
     empirical_covariance,
     fit,
@@ -22,6 +23,36 @@ from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 @pytest.fixture(scope="module")
 def instance20():
     return sample_instance(20, 1500, planted_scores(20), lam=60.0, seed=5)
+
+
+def _zero_variance_features():
+    x = np.random.default_rng(0).standard_normal((4, 30))
+    x[2] = 1.0
+    return x
+
+
+ZERO_VARIANCE = ("covariance diagonal must be strictly positive: a node has "
+                 "zero sample variance; add ridge or drop the node")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kkt_residual(2 * np.eye(3), [[1.0]], np.ones((3, 3)), 0.1),
+     "weight matrix shape (3, 3), covariance shape (1, 1)"),
+    (lambda: joint_objective(np.eye(3), np.zeros(3), [[1.0]], Hyperparams(lam=0.1)),
+     "weight matrix shape (3, 3), covariance shape (1, 1)"),
+    (lambda: weighted_glasso(np.eye(3), np.ones((3, 3)), 0.1, warm_start=2 * np.eye(2)),
+     "theta shape (2, 2), covariance shape (3, 3)"),
+    (lambda: fit(_zero_variance_features(), hyper=Hyperparams(lam=0.1)), ZERO_VARIANCE),
+    (lambda: fit_graph_given_scores(_zero_variance_features(),
+                                    CoreScores(np.full(4, 0.125), budget=0.5),
+                                    hyper=Hyperparams(lam=0.1)), ZERO_VARIANCE),
+], ids=["kkt_residual", "joint_objective", "warm_start", "fit", "fit_graph_given_scores"])
+def test_graph_step_entry_points_check_one_problem(call, message):
+    # S, W and theta are checked together, so a mismatched S raises instead
+    # of broadcasting, and both bca entry points share one positive-diagonal rule.
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestFit:

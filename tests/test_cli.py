@@ -183,6 +183,16 @@ class TestGlasso:
         assert code == 1
         assert "pairwise bound" in capsys.readouterr().err
 
+    def test_scores_with_nan_budget_rejected(self, tmp_path, capsys):
+        scores = tmp_path / "c.json"
+        scores.write_text(json.dumps({"values": [0.0] * 30, "M": float("nan")}))
+        code = main([
+            "glasso", "--features", str(FIXTURE / "features.csv"),
+            "--scores", str(scores), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "budget is nan" in capsys.readouterr().err
+
 
 class TestSample:
     def test_reproducible(self, tmp_path):

@@ -11,6 +11,7 @@ from coreglasso import (
     empirical_covariance,
     kkt_residual,
     max_core_mass,
+    minres_scores,
     support,
     weighted_glasso,
 )
@@ -132,9 +133,11 @@ class TestCertificate:
         # error.  Unchecked, lam=inf "converged" at a NaN objective,
         # tol=nan ran to the cap, kkt_residual scored lam=nan and lam=-5,
         # ridge=nan was dropped and ridge=inf loaded an infinite diagonal,
-        # a fractional iteration cap died in range(), and a NaN or
-        # negative eps_w gave a NaN mass cap or passed unnoticed.
+        # a fractional iteration cap died in range(), a NaN or negative
+        # eps_w gave a NaN mass cap or passed unnoticed, and minres_scores
+        # ran a NaN or negative tol to its cap.
         s, w, theta = np.eye(6), uniform_weights(6), 2.0 * np.eye(6)
+        adj = np.ones((3, 3)) - np.eye(3)
         for name, call in (
             ("lam", lambda: weighted_glasso(s, w, lam=np.inf)),
             ("lam", lambda: weighted_glasso(s, w, lam=np.nan)),
@@ -155,6 +158,9 @@ class TestCertificate:
             ("eps_w", lambda: compute_weights(np.zeros(6), eps_w=-0.5)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=np.nan)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=-0.5)),
+            ("tol", lambda: minres_scores(adj, tol=np.nan)),
+            ("tol", lambda: minres_scores(adj, tol=-1.0)),
+            ("max_iter", lambda: minres_scores(adj, max_iter=2.5)),
         ):
             with pytest.raises(ConfigError, match=f"^{name} must be (finite and|a whole number)"):
                 call()

@@ -50,6 +50,9 @@ class TestTypes:
             CoreScores(np.array([0.5, 0.6]), budget=1.0)
         with pytest.raises(InputError):
             CoreScores(np.array([1.5, 0.0]), budget=1.5)
+        # abs(sum - nan) > tol is False, so the sum test must fail closed.
+        with pytest.raises(InputError, match="budget is nan"):
+            CoreScores(np.array([0.5, 0.5]), budget=float("nan"))
 
     def test_precision_requires_pd(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -93,8 +96,10 @@ class TestTypes:
     (lambda: coreglasso.sample_coordinates(3.5), "n"),
     (lambda: coreglasso.max_core_mass(3.5), "n"),
     (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=2.5), "k"),
+    (lambda: coreglasso.ideal_block_distance(np.zeros((3, 3)), t=2.5), "t"),
+    (lambda: coreglasso.compare_methods(np.zeros((4, 4)), None, {"m": np.ones(4)}, t=2.5), "t"),
 ], ids=["planted_scores", "sample_instance", "sample_coordinates", "max_core_mass",
-        "group_compare"])
+        "group_compare", "ideal_block_distance", "compare_methods"])
 def test_sizes_must_be_whole_numbers(call, name):
     with pytest.raises(ConfigError, match=f"^{name} must be a whole number >= 1"):
         call()
