@@ -6,8 +6,10 @@ maximizes the objective along every diagonal entry and every symmetric
 off-diagonal pair in closed form, keeping an incrementally updated
 inverse via Sherman-Morrison-Woodbury rank-one/rank-two corrections.
 The per-pair subproblem is one-dimensional and strictly concave, so each
-step has an exact solution (possibly at the kink, which produces exact
-zeros) and the objective never decreases.
+step has an exact solution and the objective never decreases.  The step
+is the kink (an exact zero of the entry) when the smooth slope there lies
+within the penalty; otherwise it is the one root of a quadratic on the
+side the slope points to, computed in a form that does not cancel.
 
 Convergence is certified by the stationarity system of the objective,
 measured in max-norm:
@@ -57,49 +59,43 @@ def _refresh_inverse(theta: np.ndarray, sweep: int):
         ) from None
 
 
-def _pair_candidates(th_ij, b_ii, b_jj, b_ij, s_ij, rho):
-    """Stationary points of the 1-D pair objective, plus the kink.
+def _pair_step(th_ij, b_ii, b_jj, b_ij, s_ij, rho):
+    """Exact maximizer t of the 1-D pair objective, or None off the PD cone.
 
     Along ``T + t (E_ij + E_ji)`` the objective changes by
     ``log D(t) - 2 s_ij t - 2 rho |th_ij + t|`` with
-    ``D(t) = (1 + t b_ij)^2 - t^2 b_ii b_jj``, positive on an open
-    interval around zero.  Returns candidate steps t inside that
-    interval.
+    ``D(t) = 1 + 2 b_ij t + a t^2`` and ``a = b_ij^2 - b_ii b_jj < 0``.  It is
+    strictly concave on the interval where D > 0,
+    ``-1/(r + b_ij) < t < 1/(r - b_ij)`` with ``r = sqrt(b_ii b_jj)``.  The
+    kink ``t = -th_ij`` is the maximizer when the smooth slope there,
+    ``2 (b_ij + a t) / D(t) - 2 s_ij``, is within ``+-2 rho``.  Otherwise the
+    maximizer lies on the side ``sgn`` the slope points to (the sign of
+    ``th_ij`` when the kink is outside the interval), at the one root of
+    ``c a t^2 + (2 c b_ij - a) t + (c - b_ij) = 0``, ``c = s_ij + rho sgn``,
+    inside the interval.
     """
-    a = b_ij * b_ij - b_ii * b_jj  # < 0 for a PD inverse
     root = np.sqrt(b_ii * b_jj)
-    t_a = (-b_ij - root) / a
-    t_b = (-b_ij + root) / a
-    t_lo, t_hi = (t_a, t_b) if t_a < t_b else (t_b, t_a)
-
-    candidates = []
+    t_lo, t_hi = -1.0 / (root + b_ij), 1.0 / (root - b_ij)
+    a = b_ij * b_ij - b_ii * b_jj
     kink = -th_ij
-    if t_lo < kink < t_hi:
-        candidates.append(kink)
-    for sgn in (1.0, -1.0):
-        cs = 2.0 * (s_ij + rho * sgn)
-        if cs == 0.0:
-            roots = (-b_ij / a,)
-        else:
-            qa = cs * a
-            qb = 2.0 * (cs * b_ij - a)
-            qc = cs - 2.0 * b_ij
-            disc = qb * qb - 4.0 * qa * qc
-            if disc < 0.0:
-                continue
-            sq = np.sqrt(disc)
-            roots = ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa))
-        for t in roots:
-            if t_lo < t < t_hi and (th_ij + t) * sgn > 0.0:
-                candidates.append(t)
-    return candidates
-
-
-def _pair_value(t, th_ij, b_ii, b_jj, b_ij, s_ij, rho):
-    d = (1.0 + t * b_ij) ** 2 - t * t * b_ii * b_jj
-    if d <= 0.0:
-        return -np.inf
-    return np.log(d) - 2.0 * s_ij * t - 2.0 * rho * abs(th_ij + t)
+    kink_inside = t_lo < kink < t_hi
+    if kink_inside:
+        slope = 2.0 * (b_ij + a * kink) / (1.0 + 2.0 * b_ij * kink + a * kink * kink) - 2.0 * s_ij
+        if abs(slope) <= 2.0 * rho:
+            return kink
+        sgn = 1.0 if slope > 0.0 else -1.0
+    else:
+        sgn = 1.0 if th_ij > 0.0 else -1.0
+    # The root with +sqrt of the discriminant a^2 + 4 c^2 b_ii b_jj, in
+    # whichever of its two equal forms adds terms of one sign.
+    c = s_ij + rho * sgn
+    qb = 2.0 * c * b_ij - a
+    sq = np.sqrt(a * a + 4.0 * c * c * b_ii * b_jj)
+    t = 2.0 * (c - b_ij) / (-qb - sq) if qb > 0.0 else (sq - qb) / (2.0 * c * a)
+    if t_lo < t < t_hi and (th_ij + t) * sgn > 0.0:
+        return t
+    # A root within rounding of the kink can land on its far side.
+    return kink if kink_inside else None
 
 
 def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
@@ -163,19 +159,14 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
                     continue
                 b_ii = inv[i, i]
                 b_jj = inv[j, j]
-                cands = _pair_candidates(th_ij, b_ii, b_jj, b_ij, s[i, j], r)
-                if not cands:
+                delta = _pair_step(th_ij, b_ii, b_jj, b_ij, s[i, j], r)
+                if delta is None:
                     raise NumericalError(
                         f"no admissible step for pair ({i}, {j}); "
                         "inverse drifted off the PD cone"
                     )
-                best = max(
-                    cands,
-                    key=lambda t: _pair_value(t, th_ij, b_ii, b_jj, b_ij, s[i, j], r),
-                )
-                if best == 0.0:
+                if delta == 0.0:
                     continue
-                delta = best
                 new_val = 0.0 if delta == -th_ij else th_ij + delta
                 theta[i, j] = new_val
                 theta[j, i] = new_val

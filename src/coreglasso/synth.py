@@ -93,8 +93,7 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     _check_setting(n, "n", "count")
     if len(c_true) != n:
         raise InputError(f"c_true has {len(c_true)} entries for n={n}")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InputError(f"need a whole number >= 1 of sample columns, got {d}")
+    _check_setting(d, "d", "count")
     _check_setting(lam, "lam", "positive")
     _check_setting(pd_margin, "pd_margin", "positive")
     if sparsify_at is not None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coreglasso import (
     ConfigError,
@@ -15,6 +17,7 @@ from coreglasso import (
     support,
     weighted_glasso,
 )
+from coreglasso.glasso import _pair_step
 
 from conftest import rand_pd
 
@@ -98,21 +101,83 @@ class TestTwoByTwoOracle:
         assert res.theta.values[0, 0] == pytest.approx(self.FROZEN_DIAG, abs=1e-6)
 
 
-class TestCertificate:
-    def test_kkt_recomputable_and_within_tol(self, rng):
-        n = 8
-        s = rand_pd(n, rng, n_samples=60)
-        c = rng.uniform(0, 0.45, n)
-        w = compute_weights(c)
-        res = weighted_glasso(s, w, lam=0.1, tol=1e-6)
+class TestPairStep:
+    # Along T + t (E_ij + E_ji) the objective changes by
+    # log D(t) - 2 s t - 2 rho |th + t|, D(t) = 1 + 2 b_ij t + a t^2 with
+    # a = b_ij^2 - b_ii b_jj: strictly concave where D > 0, so a step is the
+    # maximizer exactly when it meets the subgradient condition there.
+
+    # |corr| <= 0.99 keeps the pair's 2x2 block of the inverse at condition
+    # number <= 199; past that, D(t) itself cannot be evaluated to 1e-8.
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-0.99, 0.99),
+           st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), st.floats(-1e3, 1e3),
+           st.floats(0.0, 1e3))
+    # A root that cancels: c = s_ij + rho sgn is tiny against b_ij.
+    @example(1.0, 1.0, 0.5, 0.0, 1e-12, 0.0)
+    def test_step_meets_subgradient_condition(self, b_ii, b_jj, corr, th_ij, s_ij, rho):
+        b_ij = corr * np.sqrt(b_ii * b_jj)
+        t = _pair_step(th_ij, b_ii, b_jj, b_ij, s_ij, rho)
+        a = b_ij * b_ij - b_ii * b_jj
+        d = 1.0 + 2.0 * b_ij * t + a * t * t
+        assert d > 0.0
+        slope = 2.0 * (b_ij + a * t) / d - 2.0 * s_ij
+        # Relative to the magnitudes of the slope's terms, with b_ij raised
+        # to sqrt(b_ii b_jj) so that a zero slope still has a scale.
+        scale = 2.0 * (np.sqrt(b_ii * b_jj) + abs(a * t)) / d + 2.0 * abs(s_ij) + 2.0 * rho
+        tol = 1e-8 * scale
+        if th_ij + t == 0.0:
+            assert abs(slope) <= 2.0 * rho + tol
+        else:
+            assert abs(slope - 2.0 * rho * np.sign(th_ij + t)) <= tol
+
+    def test_kink_outside_interval(self):
+        # D > 0 on (-1, 1) and the kink is at -5, so the step stays on the
+        # side of th_ij = 5: -2t / (1 - t^2) = 2 (s + rho) = 1 at 1 - sqrt(2).
+        t = _pair_step(5.0, 1.0, 1.0, 0.0, 0.3, 0.2)
+        assert t == pytest.approx(1.0 - np.sqrt(2.0), rel=1e-14)
+
+    def test_root_rounded_onto_the_kink_gives_the_kink(self):
+        # The slope at the kink exceeds 2 rho by 7e-16, so the root on its
+        # side rounds onto the kink itself, which the step then returns.
+        th_ij = -0.15922500991447772
+        t = _pair_step(th_ij, 6.886865646358878, 6.5395468350513815, 2.276385154770425,
+                       -6.084677734619267, 0.3889214239791038)
+        assert t == -th_ij
+
+    def test_tiny_penalty_reaches_the_inverse(self):
+        # S_02 = 0 with lam = 1e-30 makes c = s_02 +- lam tiny against
+        # b_02; a root formula that cancels there stalled this solve with
+        # a KKT residual of 0.25.
+        s = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        res = weighted_glasso(s, uniform_weights(3), lam=1e-30, tol=1e-9, max_iter=500)
         assert res.converged
-        recomputed = kkt_residual(res.theta, s, w, 0.1)
+        np.testing.assert_allclose(res.theta.values, np.linalg.inv(s), atol=1e-8)
+
+
+def random_problem(seed, n):
+    """A random PD covariance and the weights of random feasible scores
+    (every ``c_i + c_j`` below ``1 - eps_w``)."""
+    r = np.random.default_rng(seed)
+    return rand_pd(n, r), compute_weights(r.uniform(0, 0.45, n))
+
+
+class TestCertificate:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.floats(0.01, 1.0))
+    def test_kkt_recomputable_and_within_tol(self, seed, n, lam):
+        s, w = random_problem(seed, n)
+        res = weighted_glasso(s, w, lam=lam, tol=1e-6)
+        assert res.converged
+        recomputed = kkt_residual(res.theta, s, w, lam)
         assert recomputed == pytest.approx(res.kkt_residual, abs=1e-12)
         assert recomputed <= 1e-6
 
-    def test_objective_nondecreasing_per_sweep(self, rng):
-        s = rand_pd(12, rng, n_samples=40)
-        res = weighted_glasso(s, uniform_weights(12), lam=0.05, tol=1e-8)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.floats(0.01, 1.0))
+    def test_objective_nondecreasing_per_sweep(self, seed, n, lam):
+        s, w = random_problem(seed, n)
+        res = weighted_glasso(s, w, lam=lam, tol=1e-8)
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs >= -1e-9)
 

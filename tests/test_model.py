@@ -93,13 +93,14 @@ class TestTypes:
 @pytest.mark.parametrize("call, name", [
     (lambda: coreglasso.planted_scores(8.5), "n"),
     (lambda: coreglasso.sample_instance(4.0, 5, coreglasso.planted_scores(4), lam=1.0), "n"),
+    (lambda: coreglasso.sample_instance(4, 2.5, coreglasso.planted_scores(4), lam=1.0), "d"),
     (lambda: coreglasso.sample_coordinates(3.5), "n"),
     (lambda: coreglasso.max_core_mass(3.5), "n"),
     (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=2.5), "k"),
     (lambda: coreglasso.ideal_block_distance(np.zeros((3, 3)), t=2.5), "t"),
     (lambda: coreglasso.compare_methods(np.zeros((4, 4)), None, {"m": np.ones(4)}, t=2.5), "t"),
-], ids=["planted_scores", "sample_instance", "sample_coordinates", "max_core_mass",
-        "group_compare", "ideal_block_distance", "compare_methods"])
+], ids=["planted_scores", "sample_instance", "sample_instance_d", "sample_coordinates",
+        "max_core_mass", "group_compare", "ideal_block_distance", "compare_methods"])
 def test_sizes_must_be_whole_numbers(call, name):
     with pytest.raises(ConfigError, match=f"^{name} must be a whole number >= 1"):
         call()

@@ -85,7 +85,7 @@ class TestSampleInstance:
         with pytest.raises(InputError):
             sample_instance(7, 10, c, lam=10.0)
         for d in (0, 2.5):
-            with pytest.raises(InputError, match="sample column"):
+            with pytest.raises(ConfigError, match="^d must be a whole number >= 1"):
                 sample_instance(6, d, c, lam=10.0)
         for n in (1, 0, -2):
             with pytest.raises(InputError, match="need at least 2 nodes"):
