@@ -20,11 +20,11 @@ __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 class BaselineScores:
     """Baseline output: scaled scores plus the raw pre-scaling values.
 
-    For MINRES, ``residuals`` holds the fit residual after every sweep.
+    The function that returns it names the method.  For MINRES,
+    ``residuals`` holds the fit residual after every sweep.
     """
 
     c: np.ndarray
-    method: str
     raw: np.ndarray
     residuals: tuple[float, ...] | None = None
 
@@ -57,8 +57,7 @@ def minres_scores(A, tol: float = 1e-6, max_iter: int = 500) -> BaselineScores:
     if degrees.max() == 0:
         warnings.warn("all-zero adjacency: returning zero core scores")
         zeros = np.zeros(n)
-        return BaselineScores(c=zeros, method="minres", raw=zeros.copy(),
-                              residuals=(0.0,))
+        return BaselineScores(c=zeros, raw=zeros.copy(), residuals=(0.0,))
     c = degrees / degrees.max()
     residuals = [minres_residual(a, c)]
     for _ in range(max_iter):
@@ -78,8 +77,7 @@ def minres_scores(A, tol: float = 1e-6, max_iter: int = 500) -> BaselineScores:
         scaled = (c - lo) / (hi - lo)
     else:
         scaled = np.ones(n) if hi > 0 else np.zeros(n)
-    return BaselineScores(c=scaled, method="minres", raw=c,
-                          residuals=tuple(residuals))
+    return BaselineScores(c=scaled, raw=c, residuals=tuple(residuals))
 
 
 def kcore_scores(A) -> BaselineScores:
@@ -104,4 +102,4 @@ def kcore_scores(A) -> BaselineScores:
         degree[neighbors] -= 1
     raw = core.astype(float)
     c = raw / raw.max() if raw.max() > 0 else np.zeros(n)
-    return BaselineScores(c=c, method="kcores", raw=raw)
+    return BaselineScores(c=c, raw=raw)

@@ -40,7 +40,7 @@ from .io import (
     write_scores_json,
     write_trace_csv,
 )
-from .metrics import compare_methods, group_compare, support_recovery
+from .metrics import _core_size, compare_methods, group_compare, support_recovery
 from .model import CoreScores, DistanceMatrix, Hyperparams, _check_setting
 from .synth import planted_scores, sample_coordinates, sample_instance
 
@@ -214,11 +214,6 @@ def cmd_eval(args, out):
     truth_raw, _ = read_square_csv(args.truth, name="truth matrix")
     truth = support(truth_raw, args.threshold)
     theta_est, _ = read_square_csv(args.estimate, name="estimate")
-    n = truth.shape[0]
-    if theta_est.shape[0] != n:
-        raise CoreglassoError(
-            f"estimate is {theta_est.shape[0]}x{theta_est.shape[0]}, truth is {n}x{n}"
-        )
 
     methods = [m for m in args.baselines.split(",") if m] if args.baselines != "none" else []
     scores = {}
@@ -251,7 +246,7 @@ def cmd_eval(args, out):
         "support_recovery": {
             "precision": precision, "recall": recall, "f1": f1,
         },
-        "t": args.t if args.t is not None else max(1, n // 4),
+        "t": _core_size(args.t, truth.shape[0]),
     }
     write_json(out / "table.json", table)
     return table
@@ -260,15 +255,12 @@ def cmd_eval(args, out):
 def cmd_group_compare(args, out):
     group_a = [read_scores_json(p) for p in args.group_a]
     group_b = [read_scores_json(p) for p in args.group_b]
-    n = len(group_a[0])
-    k = args.k
-    if k > n:
-        print(f"warning: k={k} larger than {n} nodes; clamping", file=sys.stderr)
-        k = n
-    diff, top = group_compare(group_a, group_b, k=k)
+    diff, top = group_compare(group_a, group_b, k=args.k)
+    if len(top) < args.k:
+        print(f"warning: k={args.k} larger than {len(diff)} nodes; clamping", file=sys.stderr)
     _write_rows(out / "diff.csv", enumerate(diff.tolist()), header=("node", "diff"))
     summary = {
-        "k": k,
+        "k": len(top),
         "top_k": [int(i) for i in top],
         "top_k_diff": [float(diff[i]) for i in top],
     }

@@ -35,22 +35,26 @@ def _square(matrix) -> np.ndarray:
     return m
 
 
+def _scores(c, name: str = "scores", n: int | None = None) -> np.ndarray:
+    """The one check of a raw score vector: 1-D, finite, length ``n`` if given."""
+    cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
+    if cv.ndim != 1 or not np.isfinite(cv).all():
+        raise InputError(f"{name} must be a finite 1-D vector, got shape {cv.shape}")
+    if n is not None and cv.shape[0] != n:
+        raise InputError(f"{cv.shape[0]} {name} for a {n}-node matrix")
+    return cv
+
+
+def _core_size(t, n: int) -> int:
+    """The one core-size rule: ``t`` None means floor(N/4), at least 1."""
+    return max(1, n // 4) if t is None else t
+
+
 def order_by_scores(matrix, c) -> OrderedGraph:
     """Permute rows and columns by descending score, ties by index."""
     m = _square(matrix)
-    cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
-    if cv.shape[0] != m.shape[0]:
-        raise InputError(
-            f"{cv.shape[0]} scores for a {m.shape[0]}-node matrix"
-        )
-    perm = np.argsort(-cv, kind="stable")
+    perm = np.argsort(-_scores(c, n=m.shape[0]), kind="stable")
     return OrderedGraph(matrix=m[np.ix_(perm, perm)], permutation=perm)
-
-
-def _ideal_block(n: int, t: int) -> np.ndarray:
-    ideal = np.zeros((n, n))
-    ideal[:t, :t] = 1.0
-    return ideal
 
 
 def ideal_block_distance(ordered, t: int) -> float:
@@ -64,7 +68,9 @@ def ideal_block_distance(ordered, t: int) -> float:
     if not 1 <= t <= n:
         raise InputError(f"core size t={t} outside [1, {n}]")
     _check_setting(t, "t", "count")
-    return float(((m - _ideal_block(n, t)) ** 2).sum())
+    ideal = np.zeros((n, n))
+    ideal[:t, :t] = 1.0
+    return float(((m - ideal) ** 2).sum())
 
 
 def compare_methods(A_truth, theta_est, scores_by_method: dict,
@@ -72,46 +78,36 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
                     threshold: float = 0.0) -> list[dict]:
     """Block-model distances of the truth and the estimate per method.
 
-    For every method the ground-truth matrix and the estimated entry
-    magnitudes are each reordered by that method's scores and compared
-    against the ideal block model with core size ``t`` (default
-    ``floor(N/4)``).  Either matrix may be None, in which case its
-    column is None.  ``binarize_estimate`` replaces the estimate by its
-    :func:`~coreglasso.glasso.support` at ``threshold`` before measuring.
+    For every method the N x N ground-truth matrix and the estimated
+    entry magnitudes (also N x N) are each reordered by that method's
+    scores and compared against the ideal block model with core size
+    ``t`` (default ``floor(N/4)``, at least 1).  ``binarize_estimate``
+    replaces the estimate by its :func:`~coreglasso.glasso.support` at
+    ``threshold`` before measuring.  Every score vector must be finite,
+    1-D and of length N.
 
     Returns a list of row dicts ``{method, dist_truth, dist_estimate}``
     in insertion order of ``scores_by_method``.
     """
     if not scores_by_method:
         raise InputError("no score vectors supplied")
-    truth = None if A_truth is None else np.asarray(A_truth, dtype=float)
-    est = None
-    if theta_est is not None:
-        est = np.abs(np.asarray(
-            theta_est.values if hasattr(theta_est, "values") else theta_est,
-            dtype=float,
-        ))
-        if binarize_estimate:
-            est = support(est, threshold)
-    sizes = [m.shape[0] for m in (truth, est) if m is not None]
-    if not sizes:
-        raise InputError("need at least one of A_truth or theta_est")
-    n = sizes[0]
-    if any(sz != n for sz in sizes):
-        raise InputError("truth and estimate dimensions differ")
-    t_core = max(1, n // 4) if t is None else t
+    truth = _square(A_truth)
+    est = np.abs(_square(theta_est.values if hasattr(theta_est, "values") else theta_est))
+    if binarize_estimate:
+        est = support(est, threshold)
+    n = truth.shape[0]
+    if est.shape != truth.shape:
+        raise InputError(f"estimate is {est.shape[0]}x{est.shape[0]}, truth is {n}x{n}")
+    t_core = _core_size(t, n)
 
     rows = []
     for method, scores in scores_by_method.items():
-        cv = scores.values if isinstance(scores, CoreScores) else np.asarray(scores, float)
-        if cv.shape[0] != n:
-            raise InputError(f"scores for {method!r} have length {cv.shape[0]}, expected {n}")
-        row = {"method": str(method), "dist_truth": None, "dist_estimate": None}
-        if truth is not None:
-            row["dist_truth"] = ideal_block_distance(order_by_scores(truth, cv), t_core)
-        if est is not None:
-            row["dist_estimate"] = ideal_block_distance(order_by_scores(est, cv), t_core)
-        rows.append(row)
+        cv = _scores(scores, f"{method!r} scores", n)
+        rows.append({
+            "method": str(method),
+            "dist_truth": ideal_block_distance(order_by_scores(truth, cv), t_core),
+            "dist_estimate": ideal_block_distance(order_by_scores(est, cv), t_core),
+        })
     return rows
 
 
@@ -120,9 +116,9 @@ def support_recovery(a_true, a_est) -> tuple[float, float, float]:
 
     Empty denominators resolve to 0 by convention.
     """
-    t = np.asarray(a_true)
-    e = np.asarray(a_est)
-    if t.shape != e.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
+    t = _square(a_true)
+    e = _square(a_est)
+    if t.shape != e.shape:
         raise InputError("supports must be square matrices of equal shape")
     iu = np.triu_indices(t.shape[0], k=1)
     tv = t[iu] != 0
@@ -139,17 +135,17 @@ def support_recovery(a_true, a_est) -> tuple[float, float, float]:
 def group_compare(scores_a, scores_b, k: int = 10):
     """Entrywise difference of the normalized mean score vectors.
 
-    Every subject's scores are l1-normalized (divided by their sum, the
-    subject's mass budget) before averaging within each group.  Returns
-    ``(diff, top_k)`` where diff is ``|mean_a - mean_b|`` and top_k holds
-    the indices of the k largest differences, ties broken by index.
+    Every subject's finite 1-D score vector is l1-normalized (divided by
+    its sum, the subject's mass budget) before averaging within each group.
+    Returns ``(diff, top_k)``: diff is ``|mean_a - mean_b|``, top_k the
+    indices of the ``min(k, N)`` largest differences, ties by index.
     """
     def normalized_mean(group, name):
         if not group:
             raise InputError(f"group {name} is empty")
         vecs = []
         for s in group:
-            v = s.values if isinstance(s, CoreScores) else np.asarray(s, dtype=float)
+            v = _scores(s, f"group {name} scores")
             total = float(v.sum())
             if total <= 0:
                 raise InputError(f"group {name} contains a zero-mass score vector")
@@ -163,10 +159,7 @@ def group_compare(scores_a, scores_b, k: int = 10):
     mean_b = normalized_mean(scores_b, "b")
     if mean_a.shape != mean_b.shape:
         raise InputError("groups have different score lengths")
-    n = mean_a.shape[0]
     _check_setting(k, "k", "count")
-    if k > n:
-        raise InputError(f"k={k} outside [1, {n}]")
     diff = np.abs(mean_a - mean_b)
     top = np.argsort(-diff, kind="stable")[:k]
     return diff, top

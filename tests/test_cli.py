@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreglasso import Hyperparams, cli
+from coreglasso import Hyperparams, cli, compare_methods, support
 from coreglasso.cli import build_parser, main
 from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv, write_scores_json
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
@@ -268,8 +268,28 @@ class TestEval:
         methods = [line.split(",")[0] for line in lines[1:]]
         assert methods == ["proposed", "minres", "kcores"]
 
+    def test_default_core_size_matches_library(self, fitted, tmp_path):
+        # eval without --t uses the library's core-size rule, floor(N/4).
+        sample_dir, fit_dir = fitted
+        out = tmp_path / "e"
+        assert main([
+            "eval", "--truth", str(sample_dir / "theta_true.csv"),
+            "--estimate", str(fit_dir / "theta.csv"),
+            "--scores", f"proposed={fit_dir / 'scores.json'}",
+            "--baselines", "none", "--out", str(out),
+        ]) == 0
+        table = json.loads((out / "table.json").read_text())
+        truth = support(read_square_csv(sample_dir / "theta_true.csv")[0])
+        theta, _ = read_square_csv(fit_dir / "theta.csv")
+        n = truth.shape[0]
+        assert table["t"] == n // 4
+        scores = {"proposed": read_scores_json(fit_dir / "scores.json").values}
+        assert table["table"] == compare_methods(truth, theta, scores, t=n // 4)
+
     def test_missing_truth_file(self, tmp_path, capsys):
         star = str(star_csv(tmp_path / "star.csv"))
+        eye = tmp_path / "eye4.csv"
+        write_matrix_csv(eye, np.eye(4))
         scores = tmp_path / "c5.json"
         write_scores_json(scores, planted_scores(5))
         for inputs, message in (
@@ -282,6 +302,7 @@ class TestEval:
             ([star, star, "--scores", f"a={scores}", "--scores", f"a={scores}"],
              "NAME 'a' is repeated"),
             ([star, star, "--scores", f"minres={scores}"], "NAME 'minres' is repeated or a"),
+            ([star, str(eye), "--scores", f"a={scores}"], "estimate is 4x4, truth is 5x5"),
         ):
             truth, estimate, *flags = inputs
             code = main([

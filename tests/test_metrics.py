@@ -93,10 +93,12 @@ class TestCompareMethods:
         a = (rng.uniform(size=(n, n)) < 0.4).astype(float)
         a = np.triu(a, 1)
         a = a + a.T
+        theta = rng.standard_normal((n, n))
+        theta = theta + theta.T
         scores = rng.uniform(0, 1, n)
-        rows = compare_methods(a, None, {"one": scores, "two": scores.copy()})
+        rows = compare_methods(a, theta, {"one": scores, "two": scores.copy()})
         assert rows[0]["dist_truth"] == rows[1]["dist_truth"]
-        assert rows[0]["dist_estimate"] is None
+        assert rows[0]["dist_estimate"] == rows[1]["dist_estimate"]
 
     def test_perfect_core_periphery_equal_columns(self):
         n, t = 8, 2
@@ -128,23 +130,31 @@ class TestCompareMethods:
         theta = np.eye(n)
         theta[0, 1] = theta[1, 0] = 0.7
         scores = np.linspace(1, 0, n)
-        raw = compare_methods(None, theta, {"m": scores}, t=2)
-        binary = compare_methods(None, theta, {"m": scores}, t=2,
+        truth = np.zeros((n, n))
+        raw = compare_methods(truth, theta, {"m": scores}, t=2)
+        binary = compare_methods(truth, theta, {"m": scores}, t=2,
                                  binarize_estimate=True)
         assert raw[0]["dist_estimate"] != binary[0]["dist_estimate"]
+        assert raw[0]["dist_truth"] == binary[0]["dist_truth"]
 
     def test_default_core_size(self, rng):
         n = 9
         a = np.zeros((n, n))
         scores = rng.uniform(0, 1, n)
-        rows = compare_methods(a, None, {"m": scores})
+        rows = compare_methods(a, a, {"m": scores})
         assert rows[0]["dist_truth"] == pytest.approx((n // 4) ** 2)
+        assert rows[0]["dist_estimate"] == pytest.approx((n // 4) ** 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="estimate is 4x4, truth is 3x3"):
             compare_methods(np.zeros((3, 3)), np.eye(4), {"m": np.ones(3)})
-        with pytest.raises(InputError):
-            compare_methods(np.zeros((3, 3)), None, {"m": np.ones(5)})
+        with pytest.raises(InputError, match="5 'm' scores for a 3-node matrix"):
+            compare_methods(np.zeros((3, 3)), np.eye(3), {"m": np.ones(5)})
+
+    @pytest.mark.parametrize("truth, estimate", [(None, np.eye(3)), (np.eye(3), None)])
+    def test_both_matrices_required(self, truth, estimate):
+        with pytest.raises(InputError, match="must be square"):
+            compare_methods(truth, estimate, {"m": np.ones(3)})
 
 
 class TestSupportRecovery:
@@ -206,9 +216,13 @@ class TestGroupCompare:
         with pytest.raises(InputError):
             group_compare([np.ones(3)], [np.ones(4)], k=1)
         with pytest.raises(InputError):
-            group_compare([np.ones(3)], [np.ones(3)], k=9)
-        with pytest.raises(InputError):
             group_compare([np.zeros(3)], [np.ones(3)], k=1)
+
+    def test_k_above_n_returns_every_index(self):
+        # 3 indices in rank order: the CLI reports k = len(top).
+        diff, top = group_compare([np.array([0.2, 0.2, 0.6])], [np.array([0.3, 0.5, 0.2])], k=9)
+        np.testing.assert_array_equal(top, [2, 1, 0])
+        np.testing.assert_allclose(diff, [0.1, 0.3, 0.4])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 2 ** 31 - 1))
@@ -217,3 +231,21 @@ class TestGroupCompare:
         a = r.uniform(0.1, 1, n)
         diff, top = group_compare([a], [a], k=n)
         np.testing.assert_array_equal(top, np.arange(n))
+
+
+@pytest.mark.parametrize("scores, message", [
+    ([np.nan, 1.0, 2.0], "finite 1-D vector"),
+    ([1.0, np.inf, 2.0], "finite 1-D vector"),
+    ([[1.0, 2.0, 3.0]], "finite 1-D vector"),
+    ([1.0, 2.0], "2 .*scores for a 3-node matrix|different score lengths"),
+], ids=["nan", "inf", "2-D", "wrong-length"])
+@pytest.mark.parametrize("call", [
+    lambda s: order_by_scores(np.eye(3), s),
+    lambda s: compare_methods(np.eye(3), np.eye(3), {"x": s}, t=1),
+    lambda s: group_compare([s], [np.ones(3)], k=1),
+], ids=["order_by_scores", "compare_methods", "group_compare"])
+def test_raw_scores_checked_once(call, scores, message):
+    # Every entry point that takes a raw score vector runs the one check:
+    # 1-D, finite, and one value per node.
+    with pytest.raises(InputError, match=message):
+        call(np.array(scores))

@@ -98,7 +98,7 @@ class TestTypes:
     (lambda: coreglasso.max_core_mass(3.5), "n"),
     (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=2.5), "k"),
     (lambda: coreglasso.ideal_block_distance(np.zeros((3, 3)), t=2.5), "t"),
-    (lambda: coreglasso.compare_methods(np.zeros((4, 4)), None, {"m": np.ones(4)}, t=2.5), "t"),
+    (lambda: coreglasso.compare_methods(np.zeros((4, 4)), np.eye(4), {"m": np.ones(4)}, t=2.5), "t"),
 ], ids=["planted_scores", "sample_instance", "sample_instance_d", "sample_coordinates",
         "max_core_mass", "group_compare", "ideal_block_distance", "compare_methods"])
 def test_sizes_must_be_whole_numbers(call, name):
