@@ -15,13 +15,14 @@ import numpy as np
 from dataclasses import dataclass
 
 from .corescore import _infeasible_budget, core_score_lp, max_core_mass
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .glasso import GlassoResult, kkt_residual, weighted_glasso
 from .model import (
     CoreScores,
     DistanceMatrix,
     Hyperparams,
     Precision,
+    _scores,
     compute_weights,
     empirical_covariance,
     joint_objective,  # unused here, but perfbench/bench.py wraps bca.joint_objective
@@ -53,9 +54,7 @@ class FitResult:
 def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
     """Given scores: N of them, with every ``c_i + c_j`` within its pairwise
     bound, so the weight floor ``eps_w`` stays inactive."""
-    if len(c) != n:
-        raise InputError(f"{len(c)} core scores for {n} nodes")
-    cv = c.values
+    cv = _scores(c, "core scores", n)
     pair = cv[:, None] + cv[None, :]
     limit = pair_bounds(n, dist, hyper.e)
     if np.any(pair > limit + 1e-9):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from scipy import sparse
 
 from .errors import ConfigError, InfeasibleError, InputError, NumericalError
-from .model import (EPS_W, CoreScores, _check_adjacency, _check_setting, _check_square_symmetric,
+from .model import (EPS_W, CoreScores, _check_adjacency, _check_nodes, _check_square_symmetric,
                     pair_bounds, resolve_budget)
 from .simplex import simplex_solve
 
@@ -98,7 +98,7 @@ def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
     """Largest feasible total core mass for the pairwise-bounded polytope."""
-    _check_setting(n, "n", "count")
+    _check_nodes(n)
     bounds = pair_bounds(n, dist, e, eps_w)
     if np.min(bounds) < 0:
         i, j = np.unravel_index(np.argmin(bounds), bounds.shape)
@@ -135,8 +135,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
     """
     t = _check_square_symmetric(abs_theta, "abs_theta")
     n = t.shape[0]
-    if n < 2:
-        raise InputError("abs_theta must have N >= 2 nodes")
+    _check_nodes(n)
     if t.min() < 0:
         raise InputError("abs_theta must be entrywise nonnegative")
     M = resolve_budget(M, n)

@@ -1,5 +1,9 @@
 """Evaluation protocol: score-based ordering, ideal block-model distance,
 method comparison tables, support recovery, and group comparison.
+
+Inputs are checked by the rules of :mod:`coreglasso.model`: every matrix
+must be square, finite and symmetric, and every raw score vector 1-D and
+finite with one value per node, else :class:`InputError`.
 """
 
 import numpy as np
@@ -8,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .glasso import support
-from .model import CoreScores, _check_setting
+from .model import _check_setting, _check_square_symmetric, _scores
 
 __all__ = [
     "OrderedGraph",
@@ -28,21 +32,14 @@ class OrderedGraph:
     permutation: np.ndarray
 
 
-def _square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"matrix must be square, got shape {m.shape}")
-    return m
-
-
-def _scores(c, name: str = "scores", n: int | None = None) -> np.ndarray:
-    """The one check of a raw score vector: 1-D, finite, length ``n`` if given."""
-    cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
-    if cv.ndim != 1 or not np.isfinite(cv).all():
-        raise InputError(f"{name} must be a finite 1-D vector, got shape {cv.shape}")
-    if n is not None and cv.shape[0] != n:
-        raise InputError(f"{cv.shape[0]} {name} for a {n}-node matrix")
-    return cv
+def _truth_estimate(truth, estimate):
+    """The one check of a (truth, estimate) pair: two matrices of one shape."""
+    t = _check_square_symmetric(truth, "truth")
+    e = _check_square_symmetric(estimate, "estimate")
+    if e.shape != t.shape:
+        raise InputError(f"estimate is {e.shape[0]}x{e.shape[0]}, "
+                         f"truth is {t.shape[0]}x{t.shape[0]}")
+    return t, e
 
 
 def _core_size(t, n: int) -> int:
@@ -52,7 +49,7 @@ def _core_size(t, n: int) -> int:
 
 def order_by_scores(matrix, c) -> OrderedGraph:
     """Permute rows and columns by descending score, ties by index."""
-    m = _square(matrix)
+    m = _check_square_symmetric(matrix, "matrix")
     perm = np.argsort(-_scores(c, n=m.shape[0]), kind="stable")
     return OrderedGraph(matrix=m[np.ix_(perm, perm)], permutation=perm)
 
@@ -63,7 +60,8 @@ def ideal_block_distance(ordered, t: int) -> float:
     The ideal model is an all-ones t-by-t upper-left block (diagonal
     included) and zeros elsewhere.
     """
-    m = _square(ordered.matrix if isinstance(ordered, OrderedGraph) else ordered)
+    m = _check_square_symmetric(
+        ordered.matrix if isinstance(ordered, OrderedGraph) else ordered, "matrix")
     n = m.shape[0]
     if not 1 <= t <= n:
         raise InputError(f"core size t={t} outside [1, {n}]")
@@ -83,21 +81,20 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     scores and compared against the ideal block model with core size
     ``t`` (default ``floor(N/4)``, at least 1).  ``binarize_estimate``
     replaces the estimate by its :func:`~coreglasso.glasso.support` at
-    ``threshold`` before measuring.  Every score vector must be finite,
-    1-D and of length N.
+    ``threshold`` before measuring.  Both matrices must have one shape,
+    and every score vector must be finite, 1-D and of length N.
 
     Returns a list of row dicts ``{method, dist_truth, dist_estimate}``
     in insertion order of ``scores_by_method``.
     """
     if not scores_by_method:
         raise InputError("no score vectors supplied")
-    truth = _square(A_truth)
-    est = np.abs(_square(theta_est.values if hasattr(theta_est, "values") else theta_est))
+    truth, est = _truth_estimate(
+        A_truth, theta_est.values if hasattr(theta_est, "values") else theta_est)
+    est = np.abs(est)
     if binarize_estimate:
         est = support(est, threshold)
     n = truth.shape[0]
-    if est.shape != truth.shape:
-        raise InputError(f"estimate is {est.shape[0]}x{est.shape[0]}, truth is {n}x{n}")
     t_core = _core_size(t, n)
 
     rows = []
@@ -114,12 +111,10 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
 def support_recovery(a_true, a_est) -> tuple[float, float, float]:
     """Precision, recall and F1 of the estimated edge set over pairs i < j.
 
-    Empty denominators resolve to 0 by convention.
+    Both matrices must have one shape.  Empty denominators resolve to 0
+    by convention.
     """
-    t = _square(a_true)
-    e = _square(a_est)
-    if t.shape != e.shape:
-        raise InputError("supports must be square matrices of equal shape")
+    t, e = _truth_estimate(a_true, a_est)
     iu = np.triu_indices(t.shape[0], k=1)
     tv = t[iu] != 0
     ev = e[iu] != 0

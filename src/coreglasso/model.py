@@ -49,7 +49,7 @@ def _check_square_symmetric(values, name) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise InputError(f"{name} must be a square matrix, got shape {v.shape}")
+        raise InputError(f"{name} must be square, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InputError(f"{name} contains non-finite entries")
     scale = max(1.0, np.abs(v).max())
@@ -82,8 +82,7 @@ class FeatureMatrix:
         if v.ndim != 2:
             raise InputError(f"feature matrix must be 2-D, got {v.ndim}-D")
         n, d = v.shape
-        if n < 2:
-            raise InputError(f"need at least 2 nodes, got {n}")
+        _check_nodes(n)
         if d < 1:
             raise InputError("empty data: need at least one sample column")
         if not np.all(np.isfinite(v)):
@@ -118,10 +117,6 @@ class DistanceMatrix:
         if off.size and off.min() < 0:
             raise InputError("distance matrix has negative entries")
         object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -194,14 +189,33 @@ class Precision:
 def _check_setting(value, name: str, rule: str) -> None:
     """The one range check of a scalar setting, under one of three rules:
     ``positive`` (finite, > 0), ``nonnegative`` (finite, >= 0) or ``count``
-    (an integer >= 1).  Raises :class:`ConfigError` naming the setting."""
+    (an integer >= 1, not a bool).  Raises :class:`ConfigError` naming the setting."""
     if rule == "count":
-        ok, want = isinstance(value, (int, np.integer)) and value >= 1, "a whole number >= 1"
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        ok, want = whole and value >= 1, "a whole number >= 1"
     else:
         ok = bool(np.isfinite(value)) and (value > 0 if rule == "positive" else value >= 0)
         want = f"finite and {rule}"
     if not ok:
         raise ConfigError(f"{name} must be {want}, got {value}")
+
+
+def _check_nodes(n) -> None:
+    """The one node-count rule: a whole number >= 2.  Below 2 raises
+    :class:`InputError`; a non-integer, the count rule's :class:`ConfigError`."""
+    if n < 2:
+        raise InputError(f"need at least 2 nodes, got {n}")
+    _check_setting(n, "n", "count")
+
+
+def _scores(c, name: str = "scores", n: int | None = None) -> np.ndarray:
+    """The one check of a raw score vector: 1-D, finite, length ``n`` if given."""
+    cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
+    if cv.ndim != 1 or not np.isfinite(cv).all():
+        raise InputError(f"{name} must be a finite 1-D vector, got shape {cv.shape}")
+    if n is not None and cv.shape[0] != n:
+        raise InputError(f"{cv.shape[0]} {name} for {n} nodes")
+    return cv
 
 
 def resolve_budget(M, n_nodes: int) -> float:

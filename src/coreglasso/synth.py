@@ -9,6 +9,9 @@ in recovery tests.
 Randomness comes from ``numpy.random.default_rng`` (PCG64) with an
 explicit seed; the draw order (Laplace upper triangle, then the normal
 block) is part of the determinism contract and must not change.
+
+Node counts must be whole numbers >= 2, and planted scores need one value
+per node; both rules live in :mod:`coreglasso.model`.
 """
 
 import numpy as np
@@ -21,8 +24,10 @@ from .model import (
     DistanceMatrix,
     FeatureMatrix,
     Precision,
+    _check_nodes,
     _check_setting,
     _inverse_logdet,
+    _scores,
     compute_weights,
     resolve_budget,
 )
@@ -37,8 +42,6 @@ class SyntheticInstance:
     c_true: CoreScores
     theta_true: Precision
     X: FeatureMatrix
-    dist: DistanceMatrix | None
-    seed: int
 
 
 def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
@@ -49,9 +52,7 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     share the leftover mass uniformly so the total equals ``budget``
     (:func:`~coreglasso.model.resolve_budget`: None means ``n/8``).
     """
-    if n < 2:
-        raise InputError(f"need at least 2 nodes, got {n}")
-    _check_setting(n, "n", "count")
+    _check_nodes(n)
     if not 0 <= core_frac <= 1:
         raise InputError("core_frac must lie in [0, 1]")
     m = resolve_budget(budget, n)
@@ -88,11 +89,8 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
         finite and positive.
     seed : RNG seed; fixed seed gives a byte-identical instance.
     """
-    if n < 2:
-        raise InputError(f"need at least 2 nodes, got {n}")
-    _check_setting(n, "n", "count")
-    if len(c_true) != n:
-        raise InputError(f"c_true has {len(c_true)} entries for n={n}")
+    _check_nodes(n)
+    _scores(c_true, "c_true scores", n)
     _check_setting(d, "d", "count")
     _check_setting(lam, "lam", "positive")
     _check_setting(pd_margin, "pd_margin", "positive")
@@ -124,8 +122,6 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
         c_true=c_true,
         theta_true=Precision(theta),
         X=FeatureMatrix(X),
-        dist=dist,
-        seed=seed,
     )
 
 
@@ -133,18 +129,10 @@ def sample_coordinates(n: int, seed: int = 0):
     """Uniform points in the unit square and their pairwise distances.
 
     Returns ``(coordinates, dist)`` where coordinates has shape (n, 2).
-    Coincident points are re-drawn so all off-diagonal distances are
-    strictly positive.
+    Coincident points have probability zero; a zero distance would be
+    rejected by :func:`~coreglasso.model.pair_bounds` when ``e > 0``.
     """
-    if n < 2:
-        raise InputError("need at least 2 nodes")
-    _check_setting(n, "n", "count")
-    rng = np.random.default_rng(seed)
-    off = ~np.eye(n, dtype=bool)
-    for _ in range(100):
-        pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dmat = np.sqrt((diff ** 2).sum(axis=-1))
-        if dmat[off].min() > 0.0:
-            return pts, DistanceMatrix(dmat)
-    raise ConfigError("could not sample distinct coordinates")
+    _check_nodes(n)
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    return pts, DistanceMatrix(np.sqrt((diff ** 2).sum(axis=-1)))

@@ -148,7 +148,7 @@ class TestCompareMethods:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError, match="estimate is 4x4, truth is 3x3"):
             compare_methods(np.zeros((3, 3)), np.eye(4), {"m": np.ones(3)})
-        with pytest.raises(InputError, match="5 'm' scores for a 3-node matrix"):
+        with pytest.raises(InputError, match="5 'm' scores for 3 nodes"):
             compare_methods(np.zeros((3, 3)), np.eye(3), {"m": np.ones(5)})
 
     @pytest.mark.parametrize("truth, estimate", [(None, np.eye(3)), (np.eye(3), None)])
@@ -237,7 +237,7 @@ class TestGroupCompare:
     ([np.nan, 1.0, 2.0], "finite 1-D vector"),
     ([1.0, np.inf, 2.0], "finite 1-D vector"),
     ([[1.0, 2.0, 3.0]], "finite 1-D vector"),
-    ([1.0, 2.0], "2 .*scores for a 3-node matrix|different score lengths"),
+    ([1.0, 2.0], "2 .*scores for 3 nodes|different score lengths"),
 ], ids=["nan", "inf", "2-D", "wrong-length"])
 @pytest.mark.parametrize("call", [
     lambda s: order_by_scores(np.eye(3), s),
@@ -249,3 +249,26 @@ def test_raw_scores_checked_once(call, scores, message):
     # 1-D, finite, and one value per node.
     with pytest.raises(InputError, match=message):
         call(np.array(scores))
+
+
+_ASYMMETRIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.where(np.eye(3) > 0, np.nan, 0.0), "non-finite"),
+    (np.where(np.eye(3) > 0, np.inf, 0.0), "non-finite"),
+    (_ASYMMETRIC, "must be symmetric"),
+], ids=["nan", "inf", "asymmetric"])
+@pytest.mark.parametrize("call", [
+    lambda m: order_by_scores(m, np.ones(3)),
+    lambda m: ideal_block_distance(m, t=1),
+    lambda m: compare_methods(m, np.eye(3), {"x": np.ones(3)}, t=1),
+    lambda m: compare_methods(np.eye(3), m, {"x": np.ones(3)}, t=1),
+    lambda m: support_recovery(m, np.eye(3)),
+    lambda m: support_recovery(np.eye(3), m),
+], ids=["order_by_scores", "ideal_block_distance", "compare_methods_truth",
+        "compare_methods_estimate", "support_recovery_truth", "support_recovery_estimate"])
+def test_matrices_checked_by_model_rule(call, bad, message):
+    # Every matrix argument runs the model's square/finite/symmetric check.
+    with pytest.raises(InputError, match=message):
+        call(bad)

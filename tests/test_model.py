@@ -99,8 +99,12 @@ class TestTypes:
     (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=2.5), "k"),
     (lambda: coreglasso.ideal_block_distance(np.zeros((3, 3)), t=2.5), "t"),
     (lambda: coreglasso.compare_methods(np.zeros((4, 4)), np.eye(4), {"m": np.ones(4)}, t=2.5), "t"),
+    (lambda: Hyperparams(lam=0.1, bca_max_iter=True), "bca_max_iter"),
+    (lambda: coreglasso.group_compare([np.ones(3)], [np.ones(3)], k=True), "k"),
+    (lambda: coreglasso.ideal_block_distance(np.zeros((3, 3)), t=True), "t"),
 ], ids=["planted_scores", "sample_instance", "sample_instance_d", "sample_coordinates",
-        "max_core_mass", "group_compare", "ideal_block_distance", "compare_methods"])
+        "max_core_mass", "group_compare", "ideal_block_distance", "compare_methods",
+        "bool_bca_max_iter", "bool_group_compare", "bool_ideal_block_distance"])
 def test_sizes_must_be_whole_numbers(call, name):
     with pytest.raises(ConfigError, match=f"^{name} must be a whole number >= 1"):
         call()

@@ -5,7 +5,9 @@ from coreglasso import (
     ConfigError,
     CoreScores,
     InputError,
+    core_score_lp,
     empirical_covariance,
+    max_core_mass,
 )
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
@@ -92,6 +94,9 @@ class TestSampleInstance:
                 planted_scores(n)
         with pytest.raises(InputError, match="need at least 2 nodes"):
             sample_instance(1, 10, CoreScores(np.array([0.125]), budget=0.125), lam=10.0)
+        for call in (lambda: max_core_mass(1), lambda: core_score_lp(np.zeros((1, 1)))):
+            with pytest.raises(InputError, match="need at least 2 nodes"):
+                call()
         with pytest.raises(ConfigError, match="lam must be finite and positive"):
             sample_instance(6, 10, c, lam=np.inf)
         for kwargs in ({"pd_margin": np.inf}, {"sparsify_at": np.inf}, {"sparsify_at": -0.5}):
