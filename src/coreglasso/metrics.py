@@ -2,8 +2,10 @@
 method comparison tables, support recovery, and group comparison.
 
 Inputs are checked by the rules of :mod:`coreglasso.model`: every matrix
-must be square, finite and symmetric, and every raw score vector 1-D and
-finite with one value per node, else :class:`InputError`.
+must be square, non-empty, finite and symmetric, and every raw score
+vector 1-D and finite with one value per node, else :class:`InputError`.
+Each public function checks its inputs once; the private helpers below
+take checked arrays.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .glasso import support
-from .model import _check_setting, _check_square_symmetric, _scores
+from .model import Precision, _check_setting, _check_square_symmetric, _scores
 
 __all__ = [
     "OrderedGraph",
@@ -47,10 +49,26 @@ def _core_size(t, n: int) -> int:
     return max(1, n // 4) if t is None else t
 
 
+def _order(v) -> np.ndarray:
+    """The one ordering rule: indices by descending value, ties by index."""
+    return np.argsort(-v, kind="stable")
+
+
+def _block_distance(m, t) -> float:
+    """The one ideal-block distance, of a checked matrix; ``t`` in [1, N]."""
+    n = m.shape[0]
+    if not 1 <= t <= n:
+        raise InputError(f"core size t={t} outside [1, {n}]")
+    _check_setting(t, "t", "count")
+    ideal = np.zeros((n, n))
+    ideal[:t, :t] = 1.0
+    return float(((m - ideal) ** 2).sum())
+
+
 def order_by_scores(matrix, c) -> OrderedGraph:
     """Permute rows and columns by descending score, ties by index."""
     m = _check_square_symmetric(matrix, "matrix")
-    perm = np.argsort(-_scores(c, n=m.shape[0]), kind="stable")
+    perm = _order(_scores(c, n=m.shape[0]))
     return OrderedGraph(matrix=m[np.ix_(perm, perm)], permutation=perm)
 
 
@@ -60,15 +78,8 @@ def ideal_block_distance(ordered, t: int) -> float:
     The ideal model is an all-ones t-by-t upper-left block (diagonal
     included) and zeros elsewhere.
     """
-    m = _check_square_symmetric(
-        ordered.matrix if isinstance(ordered, OrderedGraph) else ordered, "matrix")
-    n = m.shape[0]
-    if not 1 <= t <= n:
-        raise InputError(f"core size t={t} outside [1, {n}]")
-    _check_setting(t, "t", "count")
-    ideal = np.zeros((n, n))
-    ideal[:t, :t] = 1.0
-    return float(((m - ideal) ** 2).sum())
+    return _block_distance(_check_square_symmetric(
+        ordered.matrix if isinstance(ordered, OrderedGraph) else ordered, "matrix"), t)
 
 
 def compare_methods(A_truth, theta_est, scores_by_method: dict,
@@ -82,7 +93,8 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     ``t`` (default ``floor(N/4)``, at least 1).  ``binarize_estimate``
     replaces the estimate by its :func:`~coreglasso.glasso.support` at
     ``threshold`` before measuring.  Both matrices must have one shape,
-    and every score vector must be finite, 1-D and of length N.
+    and every score vector must be finite, 1-D and of length N.  Each
+    matrix and each score vector is checked once.
 
     Returns a list of row dicts ``{method, dist_truth, dist_estimate}``
     in insertion order of ``scores_by_method``.
@@ -90,7 +102,7 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     if not scores_by_method:
         raise InputError("no score vectors supplied")
     truth, est = _truth_estimate(
-        A_truth, theta_est.values if hasattr(theta_est, "values") else theta_est)
+        A_truth, theta_est.values if isinstance(theta_est, Precision) else theta_est)
     est = np.abs(est)
     if binarize_estimate:
         est = support(est, threshold)
@@ -99,11 +111,11 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
 
     rows = []
     for method, scores in scores_by_method.items():
-        cv = _scores(scores, f"{method!r} scores", n)
+        perm = _order(_scores(scores, f"{method!r} scores", n))
         rows.append({
             "method": str(method),
-            "dist_truth": ideal_block_distance(order_by_scores(truth, cv), t_core),
-            "dist_estimate": ideal_block_distance(order_by_scores(est, cv), t_core),
+            "dist_truth": _block_distance(truth[np.ix_(perm, perm)], t_core),
+            "dist_estimate": _block_distance(est[np.ix_(perm, perm)], t_core),
         })
     return rows
 
@@ -156,5 +168,5 @@ def group_compare(scores_a, scores_b, k: int = 10):
         raise InputError("groups have different score lengths")
     _check_setting(k, "k", "count")
     diff = np.abs(mean_a - mean_b)
-    top = np.argsort(-diff, kind="stable")[:k]
+    top = _order(diff)[:k]
     return diff, top

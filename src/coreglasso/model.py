@@ -42,7 +42,7 @@ def _frozen(values, dtype=float):
 
 
 def _check_square_symmetric(values, name) -> np.ndarray:
-    """The one square/finite/symmetric check of the package.
+    """The one square/non-empty/finite/symmetric check of the package.
 
     Symmetry is tested to 1e-10 relative to ``max(1, max|v|)``; returns
     the exactly symmetric average ``(v + v.T) / 2`` as a new array.
@@ -50,6 +50,8 @@ def _check_square_symmetric(values, name) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise InputError(f"{name} must be square, got shape {v.shape}")
+    if v.size == 0:
+        raise InputError(f"{name} must be non-empty, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InputError(f"{name} contains non-finite entries")
     scale = max(1.0, np.abs(v).max())
@@ -61,7 +63,7 @@ def _check_square_symmetric(values, name) -> np.ndarray:
 def _check_adjacency(A, name="adjacency", binary=False) -> np.ndarray:
     """A graph: square/finite/symmetric, zero diagonal, nonnegative."""
     a = _check_square_symmetric(A, name)
-    if np.abs(np.diag(a)).max(initial=0.0) != 0:
+    if np.abs(np.diag(a)).max() != 0:
         raise InputError(f"{name} must have a zero diagonal")
     if a.min() < 0:
         raise InputError(f"{name} must be nonnegative")

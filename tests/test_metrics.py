@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreglasso.metrics as metrics
+
 from coreglasso import (
     InputError,
     compare_methods,
     group_compare,
     ideal_block_distance,
     order_by_scores,
+    support,
     support_recovery,
 )
 
@@ -150,6 +153,31 @@ class TestCompareMethods:
             compare_methods(np.zeros((3, 3)), np.eye(4), {"m": np.ones(3)})
         with pytest.raises(InputError, match="5 'm' scores for 3 nodes"):
             compare_methods(np.zeros((3, 3)), np.eye(3), {"m": np.ones(5)})
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    @pytest.mark.parametrize("n_methods", [1, 3])
+    def test_each_matrix_checked_once(self, rng, monkeypatch, n_methods, binarize):
+        n, t = 9, 2
+        truth = np.triu((rng.uniform(size=(n, n)) < 0.4).astype(float), 1)
+        truth = truth + truth.T
+        theta = rng.standard_normal((n, n))
+        theta = theta + theta.T
+        scores = {f"m{k}": rng.uniform(0, 1, n) for k in range(n_methods)}
+        names = []
+        rule = metrics._check_square_symmetric
+
+        def counted(values, name):
+            names.append(name)
+            return rule(values, name)
+
+        monkeypatch.setattr(metrics, "_check_square_symmetric", counted)
+        rows = compare_methods(truth, theta, scores, t=t, binarize_estimate=binarize)
+        monkeypatch.undo()
+        assert names == ["truth", "estimate"]
+        est = support(np.abs(theta)) if binarize else np.abs(theta)
+        for row, c in zip(rows, scores.values(), strict=True):
+            assert row["dist_truth"] == ideal_block_distance(order_by_scores(truth, c), t)
+            assert row["dist_estimate"] == ideal_block_distance(order_by_scores(est, c), t)
 
     @pytest.mark.parametrize("truth, estimate", [(None, np.eye(3)), (np.eye(3), None)])
     def test_both_matrices_required(self, truth, estimate):

@@ -110,6 +110,31 @@ def test_sizes_must_be_whole_numbers(call, name):
         call()
 
 
+_EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coreglasso.weighted_glasso(_EMPTY, _EMPTY, 0.1),
+    lambda: coreglasso.kkt_residual(_EMPTY, _EMPTY, _EMPTY, 0.1),
+    lambda: coreglasso.scores_from_graph(_EMPTY),
+    lambda: coreglasso.minres_scores(_EMPTY),
+    lambda: coreglasso.kcore_scores(_EMPTY),
+    lambda: coreglasso.support(_EMPTY),
+    lambda: coreglasso.support_recovery(_EMPTY, _EMPTY),
+    lambda: coreglasso.order_by_scores(_EMPTY, np.ones(0)),
+    lambda: coreglasso.ideal_block_distance(_EMPTY, t=1),
+    lambda: coreglasso.compare_methods(_EMPTY, _EMPTY, {"m": np.ones(0)}),
+    lambda: DistanceMatrix(_EMPTY),
+    lambda: Precision(_EMPTY),
+], ids=["weighted_glasso", "kkt_residual", "scores_from_graph", "minres_scores",
+        "kcore_scores", "support", "support_recovery", "order_by_scores",
+        "ideal_block_distance", "compare_methods", "DistanceMatrix", "Precision"])
+def test_empty_matrix_rejected(call):
+    # The matrix rule itself rejects a 0x0 matrix, for every entry point.
+    with pytest.raises(InputError, match=r"must be non-empty, got shape \(0, 0\)"):
+        call()
+
+
 def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
