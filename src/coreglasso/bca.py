@@ -5,9 +5,10 @@ precision matrix (weights fixed by the current core scores) and the
 core-score linear program (edge magnitudes fixed by the current
 precision matrix).  Each half-step maximizes the joint objective over
 its own block, so the objective trace is nondecreasing up to solver
-tolerance.  It stops converged once a score step leaves the graph
-KKT-optimal within ``glasso_tol`` under the new weights (a partial
-optimum), and unconverged at a capped graph step or ``bca_max_iter``.
+tolerance.  It stops converged when a graph step after a score step takes
+zero sweeps, as theta is then KKT-optimal within ``glasso_tol`` under the
+new weights (a partial optimum), and unconverged after a capped graph step
+or ``bca_max_iter`` graph steps.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .corescore import _infeasible_budget, core_score_lp, max_core_mass
 from .errors import ConfigError
-from .glasso import GlassoResult, kkt_residual, weighted_glasso
+from .glasso import GlassoResult, weighted_glasso
 from .model import (
     CoreScores,
     DistanceMatrix,
@@ -41,14 +42,18 @@ class FitResult:
     (two entries per outer iteration), so monotone ascent is checkable
     at half-step granularity.  Both entries come from the half-step
     solvers: the graph step's ``GlassoResult.objective``, then that value
-    plus the change of the penalty term under the new core scores.
+    plus the change of the penalty term under the new core scores.  The
+    zero-sweep graph step that certifies convergence adds no entry.
     """
 
     theta: Precision
     c: CoreScores
     objective_trace: tuple[float, ...]
-    outer_iterations: int
     converged: bool
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.objective_trace) // 2
 
 
 def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
@@ -109,13 +114,17 @@ def fit(X, dist: DistanceMatrix | None = None,
     w = compute_weights(c, dist, hyper.e)
     trace: list[float] = []
     converged = False
-    for outer in range(1, hyper.bca_max_iter + 1):
+    for _ in range(hyper.bca_max_iter):
         gres = weighted_glasso(
             s, w, hyper.lam,
             tol=hyper.glasso_tol,
             max_iter=hyper.glasso_max_iter,
             warm_start=theta,
         )
+        # Zero sweeps after a score step certify a partial optimum.
+        if trace and gres.iterations == 0:
+            converged = True
+            break
         theta = gres.theta
         trace.append(gres.objective)
 
@@ -134,19 +143,14 @@ def fit(X, dist: DistanceMatrix | None = None,
         trace.append(obj)
         w = w_new
 
-        # A capped graph step is not a fixed point: stop unconverged.  Else
-        # stop once theta is KKT-optimal under the new weights too.
+        # A capped graph step is not a fixed point: stop unconverged.
         if not gres.converged:
-            break
-        if kkt_residual(theta, s, w, hyper.lam) <= hyper.glasso_tol:
-            converged = True
             break
 
     return FitResult(
         theta=theta,
         c=c,
         objective_trace=tuple(trace),
-        outer_iterations=outer,
         converged=converged,
     )
 

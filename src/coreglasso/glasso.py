@@ -18,8 +18,9 @@ measured in max-norm:
     (T^-1 - S)_ij = lam * w_ij * sign(T_ij)      where T_ij != 0
     |(T^-1 - S)_ij| <= lam * w_ij                where T_ij = 0
 
-The maintained inverse is refreshed from a Cholesky factorization once
-per sweep, which also guards against loss of positive definiteness.
+Every iterate, the start included, is factored once by Cholesky, which
+guards against loss of positive definiteness and gives the iterate's
+inverse, KKT residual and objective; a start within ``tol`` takes no sweep.
 """
 
 import numpy as np
@@ -37,26 +38,20 @@ __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 class GlassoResult:
     """Converged (or capped) solution of the weighted graphical lasso.
 
-    ``objective_trace`` holds the objective after every sweep so the
-    ascent property can be checked from the outside.
+    ``objective_trace`` holds the objective of the start and after every
+    sweep (``iterations + 1`` entries), so the ascent property can be
+    checked from the outside; ``objective`` is its last entry.
     """
 
     theta: Precision
-    objective: float
     kkt_residual: float
     iterations: int
     converged: bool
-    objective_trace: tuple[float, ...] = ()
+    objective_trace: tuple[float, ...]
 
-
-def _refresh_inverse(theta: np.ndarray, sweep: int):
-    """Exact inverse and log-determinant from a fresh Cholesky factor."""
-    try:
-        return _inverse_logdet(theta, "theta")
-    except NotPositiveDefiniteError:
-        raise NumericalError(
-            f"positive definiteness lost at sweep {sweep}: Cholesky failed"
-        ) from None
+    @property
+    def objective(self) -> float:
+        return self.objective_trace[-1]
 
 
 def _pair_step(th_ij, b_ii, b_jj, b_ij, s_ij, rho):
@@ -113,9 +108,9 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
     tol : float
         Max-norm bound on the KKT residual at convergence, finite and > 0.
     max_iter : int
-        Sweep cap, an integer >= 1; hitting it returns ``converged=False``.
+        Sweep cap, an integer >= 1; hitting it outside ``tol`` returns ``converged=False``.
     warm_start : optional Precision (or array validated as one) of the
-        shape of ``S``, used as the initial iterate.
+        shape of ``S``, used as the initial iterate (returned if within ``tol``).
 
     Returns
     -------
@@ -131,14 +126,19 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
                          "zero sample variance; add ridge or drop the node")
     theta = np.diag(1.0 / diag_s) if theta is None else theta.copy()
 
-    inv, _ = _refresh_inverse(theta, 0)
     trace: list[float] = []
-    converged = False
-    kkt = np.inf
-    sweeps = 0
+    for sweeps in range(max_iter + 1):
+        try:
+            inv, logdet = _inverse_logdet(theta, "theta")
+        except NotPositiveDefiniteError:
+            raise NumericalError(
+                f"positive definiteness lost at sweep {sweeps}: Cholesky failed"
+            ) from None
+        kkt = _kkt_from_inverse(theta, inv, s, rho)
+        trace.append(_objective(theta, logdet, s, rho))
+        if kkt <= tol or sweeps == max_iter:
+            break
 
-    for sweep in range(1, max_iter + 1):
-        sweeps = sweep
         # Diagonal pass: the unpenalized optimum solves (T^-1)_ii = S_ii.
         for i in range(n):
             b_ii = inv[i, i]
@@ -179,19 +179,11 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
                 inv += (delta * delta * b_ii / d) * np.outer(u2, u2)
                 inv -= (delta * q / d) * (cross + cross.T)
 
-        inv, logdet = _refresh_inverse(theta, sweep)
-        kkt = _kkt_from_inverse(theta, inv, s, rho)
-        trace.append(_objective(theta, logdet, s, rho))
-        if kkt <= tol:
-            converged = True
-            break
-
     return GlassoResult(
         theta=Precision(theta),
-        objective=trace[-1],
-        kkt_residual=float(kkt),
+        kkt_residual=kkt,
         iterations=sweeps,
-        converged=converged,
+        converged=bool(kkt <= tol),
         objective_trace=tuple(trace),
     )
 

@@ -243,8 +243,8 @@ class Hyperparams:
     lam : penalty scale (lambda > 0).
     e : distance coupling (>= 0); requires distances when positive.
     M : core-mass budget (> 0); :func:`resolve_budget` makes None N/8.
-    glasso_tol : KKT max-norm tolerance of the graph step and of fit's stop.
-    bca_max_iter : outer iteration cap.
+    glasso_tol : KKT max-norm tolerance of the graph step.
+    bca_max_iter : cap on fit's graph steps, the certifying one included.
     glasso_max_iter : sweep cap of the graph subproblem.
     ridge : diagonal loading (>= 0) added to the empirical covariance.
     """

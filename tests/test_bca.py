@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from coreglasso import (
     support,
     weighted_glasso,
 )
+from coreglasso.io import read_features_csv
 from coreglasso.model import EPS_W, resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
@@ -94,6 +97,23 @@ class TestFit:
                     theta_init=first.theta)
         assert again.outer_iterations == 1
         assert again.converged
+        # Both graph steps start certified and take no sweep, so nothing moves.
+        np.testing.assert_array_equal(again.theta.values, first.theta.values)
+        np.testing.assert_array_equal(again.c.values, first.c.values)
+
+    def test_cap_counts_the_certifying_graph_step(self):
+        # fixture30 at lam=0.05 certifies after k = 2 score steps, with a
+        # zero-sweep third graph step; a cap of k stops before that step.
+        x = read_features_csv(Path(__file__).parent / "data" / "fixture30" / "features.csv")
+        full = fit(x, hyper=Hyperparams(lam=0.05))
+        k = full.outer_iterations
+        assert full.converged and k == 2
+        capped = fit(x, hyper=Hyperparams(lam=0.05, bca_max_iter=k))
+        assert not capped.converged
+        np.testing.assert_array_equal(capped.theta.values, full.theta.values)
+        np.testing.assert_array_equal(capped.c.values, full.c.values)
+        assert capped.objective_trace == full.objective_trace
+        assert fit(x, hyper=Hyperparams(lam=0.05, bca_max_iter=k + 1)).converged
 
     def test_permutation_equivariance(self, instance20, rng):
         hyper = Hyperparams(lam=0.05, glasso_tol=1e-8)

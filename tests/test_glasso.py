@@ -178,8 +178,15 @@ class TestCertificate:
     def test_objective_nondecreasing_per_sweep(self, seed, n, lam):
         s, w = random_problem(seed, n)
         res = weighted_glasso(s, w, lam=lam, tol=1e-8)
+        # The start's objective, then one entry per sweep.
+        assert len(res.objective_trace) == res.iterations + 1
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs >= -1e-9)
+        # A converged result certifies itself: re-solving from it takes no sweep.
+        assert res.converged
+        again = weighted_glasso(s, w, lam=lam, tol=1e-8, warm_start=res.theta)
+        assert again.iterations == 0
+        np.testing.assert_array_equal(again.theta.values, res.theta.values)
 
     def test_iteration_cap_reports_unconverged(self, rng):
         s = rand_pd(10, rng)
@@ -303,7 +310,20 @@ class TestInvariances:
         first = weighted_glasso(s, w, lam=0.1, tol=1e-8)
         second = weighted_glasso(s, w, lam=0.1, tol=1e-8,
                                  warm_start=first.theta)
-        assert second.iterations == 1
+        # A start within tol is certified before any sweep and returned as is.
+        assert second.iterations == 0
+        assert second.converged
+        np.testing.assert_array_equal(second.theta.values, first.theta.values)
+
+    def test_diagonal_covariance_cold_start_is_optimal(self):
+        # With S diagonal the cold start diag(1/S_ii) meets every KKT
+        # condition: T^-1 - S = 0, so no sweep is needed.
+        s = np.diag([0.5, 2.0, 1.0, 4.0])
+        res = weighted_glasso(s, uniform_weights(4), lam=0.1, tol=1e-12)
+        assert res.iterations == 0
+        assert res.converged
+        assert len(res.objective_trace) == 1
+        np.testing.assert_array_equal(res.theta.values, np.diag(1.0 / np.diag(s)))
 
 
 class TestSupport:
