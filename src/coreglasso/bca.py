@@ -8,7 +8,12 @@ its own block, so the objective trace is nondecreasing up to solver
 tolerance.  It stops converged when a graph step after a score step takes
 zero sweeps, as theta is then KKT-optimal within ``glasso_tol`` under the
 new weights (a partial optimum), and unconverged after a capped graph step
-or ``bca_max_iter`` graph steps.
+or ``bca_max_iter`` graph steps.  The weights are affine in c on the score
+polytope, so g(c), the joint objective maximized over theta, is convex with gradient
+``lam * gains``, ``gains_i = 2 sum_{j != i} |theta_ij|``; the score step maximizes
+its tangent plane (successive linearization; Mangasarian 1996).  A certified fit
+is a stationary point of g, yet g peaks at a vertex of the polytope (Rockafellar,
+Convex Analysis, 1970, Thm 32.2), so a different start can reach a higher objective.
 """
 
 import numpy as np

@@ -18,9 +18,9 @@ measured in max-norm:
     (T^-1 - S)_ij = lam * w_ij * sign(T_ij)      where T_ij != 0
     |(T^-1 - S)_ij| <= lam * w_ij                where T_ij = 0
 
-Every iterate, the start included, is factored once by Cholesky, which
-guards against loss of positive definiteness and gives the iterate's
-inverse, KKT residual and objective; a start within ``tol`` takes no sweep.
+Every iterate, the start included, is a ``Precision``: its one Cholesky
+factor guards positive definiteness and gives the inverse and log det behind
+its KKT residual and objective.  A start within ``tol`` takes no sweep and is returned.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotPositiveDefiniteError, NumericalError
 from .model import (Hyperparams, Precision, _check_setting, _check_square_symmetric,
-                    _graph_problem, _inverse_logdet, _objective)
+                    _graph_problem, _objective)
 
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
@@ -109,14 +109,14 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
         Max-norm bound on the KKT residual at convergence, finite and > 0.
     max_iter : int
         Sweep cap, an integer >= 1; hitting it outside ``tol`` returns ``converged=False``.
-    warm_start : optional Precision (or array validated as one) of the
-        shape of ``S``, used as the initial iterate (returned if within ``tol``).
+    warm_start : optional Precision (an array is factored into one) of the
+        shape of ``S``; the initial iterate, itself the result's ``theta`` if within ``tol``.
 
     Returns
     -------
     GlassoResult
     """
-    s, rho, theta = _graph_problem(S, W, lam, warm_start)
+    s, rho, current = _graph_problem(S, W, lam, warm_start)
     _check_setting(tol, "tol", "positive")
     _check_setting(max_iter, "max_iter", "count")
     n = s.shape[0]
@@ -124,20 +124,15 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
     if diag_s.min() <= 0:
         raise InputError("covariance diagonal must be strictly positive: a node has "
                          "zero sample variance; add ridge or drop the node")
-    theta = np.diag(1.0 / diag_s) if theta is None else theta.copy()
+    current = Precision(np.diag(1.0 / diag_s)) if current is None else current
 
     trace: list[float] = []
     for sweeps in range(max_iter + 1):
-        try:
-            inv, logdet = _inverse_logdet(theta, "theta")
-        except NotPositiveDefiniteError:
-            raise NumericalError(
-                f"positive definiteness lost at sweep {sweeps}: Cholesky failed"
-            ) from None
-        kkt = _kkt_from_inverse(theta, inv, s, rho)
-        trace.append(_objective(theta, logdet, s, rho))
+        kkt = _kkt_from_inverse(current.values, current.inverse, s, rho)
+        trace.append(_objective(current.values, current.logdet, s, rho))
         if kkt <= tol or sweeps == max_iter:
             break
+        theta, inv = current.values.copy(), current.inverse.copy()
 
         # Diagonal pass: the unpenalized optimum solves (T^-1)_ii = S_ii.
         for i in range(n):
@@ -179,8 +174,14 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
                 inv += (delta * delta * b_ii / d) * np.outer(u2, u2)
                 inv -= (delta * q / d) * (cross + cross.T)
 
+        try:
+            current = Precision(theta)
+        except NotPositiveDefiniteError:
+            raise NumericalError(f"positive definiteness lost at sweep {sweeps + 1}: "
+                                 "Cholesky failed") from None
+
     return GlassoResult(
-        theta=Precision(theta),
+        theta=current,
         kkt_residual=kkt,
         iterations=sweeps,
         converged=bool(kkt <= tol),
@@ -199,14 +200,13 @@ def _kkt_from_inverse(theta, inv, s, rho) -> float:
 def kkt_residual(theta, S, W, lam: float) -> float:
     """Recompute the KKT max-norm residual of a candidate solution.
 
-    Independent of the solver state: inverts ``theta`` afresh, so a
-    returned ``GlassoResult`` can be certified from (theta, S, W, lam)
-    alone.  The inputs are checked as in :func:`weighted_glasso`, with
-    ``theta`` in place of the warm start.
+    Independent of the solver state: reads the inverse that ``Precision``
+    computed from ``theta``'s values (an array is factored afresh), so a
+    returned ``GlassoResult`` can be certified from (theta, S, W, lam) alone.
+    Inputs are checked as in :func:`weighted_glasso`, ``theta`` as the warm start.
     """
-    s, rho, tv = _graph_problem(S, W, lam, theta)
-    inv, _ = _inverse_logdet(tv, "theta")
-    return _kkt_from_inverse(tv, inv, s, rho)
+    s, rho, p = _graph_problem(S, W, lam, theta)
+    return _kkt_from_inverse(p.values, p.inverse, s, rho)
 
 
 def support(theta, threshold: float = 0.0) -> np.ndarray:

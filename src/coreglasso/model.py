@@ -10,7 +10,7 @@ construction, and the joint MAP objective that the block solver ascends.
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError, NotPositiveDefiniteError
@@ -169,19 +169,25 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class Precision:
-    """Symmetric positive-definite precision matrix."""
+    """Symmetric positive-definite precision matrix; its one Cholesky factor
+    gives ``inverse`` (exactly symmetric, read-only) and ``logdet``."""
 
     values: np.ndarray
+    inverse: np.ndarray = field(init=False)
+    logdet: float = field(init=False)
 
     def __post_init__(self):
         v = _check_square_symmetric(self.values, "precision matrix")
         try:
-            np.linalg.cholesky(v)
+            factor = cho_factor(v, lower=True)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError(
                 "precision matrix is not positive definite"
             ) from None
+        inv = cho_solve(factor, np.eye(v.shape[0]))
         object.__setattr__(self, "values", _frozen(v))
+        object.__setattr__(self, "inverse", _frozen(0.5 * (inv + inv.T)))
+        object.__setattr__(self, "logdet", 2.0 * float(np.log(np.diag(factor[0])).sum()))
 
     @property
     def n_nodes(self) -> int:
@@ -343,24 +349,13 @@ def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
     return WeightMatrix(w)
 
 
-def _inverse_logdet(v: np.ndarray, name: str):
-    """``(inverse, log det)`` of ``v`` from one Cholesky factor; the inverse
-    is exactly symmetric.  Raises :class:`NotPositiveDefiniteError`."""
-    try:
-        factor = cho_factor(v, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite") from None
-    inv = cho_solve(factor, np.eye(v.shape[0]))
-    return 0.5 * (inv + inv.T), 2.0 * float(np.log(np.diag(factor[0])).sum())
-
-
 def _graph_problem(S, W, lam, theta=None):
     """The one check of a graph-step problem; returns ``(S, lam * W, theta)``.
 
     ``lam`` must be positive, ``S`` square and symmetric, and ``W`` of its
     shape and nonnegative off the diagonal (a :class:`WeightMatrix` is
     trusted); the penalty gets a zero diagonal.  A given ``theta`` is
-    checked as a :class:`Precision` of the same shape; None stays None.
+    returned as a :class:`Precision` of the same shape; None stays None.
     """
     _check_setting(lam, "lam", "positive")
     s = _check_square_symmetric(S, "covariance")
@@ -370,14 +365,14 @@ def _graph_problem(S, W, lam, theta=None):
         wv = _check_square_symmetric(W, "weight matrix")
         if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
             raise InputError("weights must be nonnegative")
-    tv = None if theta is None else (
-        theta if isinstance(theta, Precision) else Precision(theta)).values
-    for name, v in (("weight matrix", wv), ("theta", tv)):
+    if theta is not None and not isinstance(theta, Precision):
+        theta = Precision(theta)
+    for name, v in (("weight matrix", wv), ("theta", None if theta is None else theta.values)):
         if v is not None and v.shape != s.shape:
             raise InputError(f"{name} shape {v.shape}, covariance shape {s.shape}")
     rho = lam * wv
     np.fill_diagonal(rho, 0.0)
-    return s, rho, tv
+    return s, rho, theta
 
 
 def _objective(theta, logdet: float, S, rho) -> float:
@@ -394,6 +389,5 @@ def joint_objective(theta, c, S: np.ndarray, hyper: Hyperparams,
     the given core scores.  ``theta``, ``S`` and the weights are checked
     together by :func:`_graph_problem`, so they must share one N x N shape.
     """
-    s, rho, tv = _graph_problem(S, compute_weights(c, dist, hyper.e), hyper.lam, theta)
-    _, logdet = _inverse_logdet(tv, "theta")
-    return _objective(tv, logdet, s, rho)
+    s, rho, p = _graph_problem(S, compute_weights(c, dist, hyper.e), hyper.lam, theta)
+    return _objective(p.values, p.logdet, s, rho)

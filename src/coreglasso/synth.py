@@ -26,7 +26,6 @@ from .model import (
     Precision,
     _check_nodes,
     _check_setting,
-    _inverse_logdet,
     _scores,
     compute_weights,
     resolve_budget,
@@ -114,13 +113,13 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     theta += theta.T
     theta[np.diag_indices(n)] = np.abs(theta).sum(axis=1) + pd_margin
 
-    sigma, _ = _inverse_logdet(theta, "planted precision")
-    chol = np.linalg.cholesky(sigma)
+    theta_true = Precision(theta)
+    chol = np.linalg.cholesky(theta_true.inverse)
     X = chol @ rng.standard_normal((n, d))
 
     return SyntheticInstance(
         c_true=c_true,
-        theta_true=Precision(theta),
+        theta_true=theta_true,
         X=FeatureMatrix(X),
     )
 

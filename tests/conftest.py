@@ -1,4 +1,5 @@
-"""Shared test helpers: random PD matrices and an independent LP oracle."""
+"""Shared test helpers: random PD matrices, an independent LP oracle and a
+Cholesky factorization counter."""
 
 import itertools
 
@@ -77,3 +78,22 @@ def lp_vertex_oracle(gains, bounds, mass, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Count every Cholesky factorization the package makes: calls through
+    ``coreglasso.model.cho_factor`` and through ``np.linalg.cholesky``."""
+    import coreglasso.model
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(coreglasso.model, "cho_factor", counted(coreglasso.model.cho_factor))
+    monkeypatch.setattr(np.linalg, "cholesky", counted(np.linalg.cholesky))
+    return calls

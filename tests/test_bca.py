@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreglasso import (
     ConfigError,
@@ -18,9 +20,14 @@ from coreglasso import (
     support,
     weighted_glasso,
 )
+from coreglasso import bca
 from coreglasso.io import read_features_csv
 from coreglasso.model import EPS_W, resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
+
+from conftest import rand_pd
+
+FIXTURE30 = Path(__file__).parent / "data" / "fixture30" / "features.csv"
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +111,7 @@ class TestFit:
     def test_cap_counts_the_certifying_graph_step(self):
         # fixture30 at lam=0.05 certifies after k = 2 score steps, with a
         # zero-sweep third graph step; a cap of k stops before that step.
-        x = read_features_csv(Path(__file__).parent / "data" / "fixture30" / "features.csv")
+        x = read_features_csv(FIXTURE30)
         full = fit(x, hyper=Hyperparams(lam=0.05))
         k = full.outer_iterations
         assert full.converged and k == 2
@@ -114,6 +121,23 @@ class TestFit:
         np.testing.assert_array_equal(capped.c.values, full.c.values)
         assert capped.objective_trace == full.objective_trace
         assert fit(x, hyper=Hyperparams(lam=0.05, bca_max_iter=k + 1)).converged
+
+    def test_graph_iterates_are_factored_once(self, monkeypatch, cholesky_calls):
+        # The cold start and each sweep's iterate are factored once; a warm
+        # start, the certifying zero-sweep step included, reuses its factor.
+        x = read_features_csv(FIXTURE30)
+        sweeps = []
+        real = bca.weighted_glasso
+
+        def recorded(*args, **kwargs):
+            res = real(*args, **kwargs)
+            sweeps.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(bca, "weighted_glasso", recorded)
+        assert fit(x, hyper=Hyperparams(lam=0.05)).converged
+        assert len(sweeps) == 3 and sweeps[-1] == 0
+        assert len(cholesky_calls) == 1 + sum(sweeps)
 
     def test_permutation_equivariance(self, instance20, rng):
         hyper = Hyperparams(lam=0.05, glasso_tol=1e-8)
@@ -261,3 +285,69 @@ class TestFitGraphGivenScores:
             uniform = CoreScores(np.full(20, 1.5 / 20), budget=1.5)
             with pytest.raises(ConfigError, match="budget"):
                 fit(instance20.X, hyper=Hyperparams(lam=0.05), c_init=uniform)
+
+
+# The profile g(c) = max_theta f(theta, c) of the joint objective f is the
+# graph step's optimum under W(c).  On the score polytope the weights are
+# affine in c, so g is convex, with gradient lam * gains(theta*(c)).
+PROFILE_TOL = 1e-10
+
+
+def _gains(theta):
+    """``gains_i = 2 sum_{j != i} |theta_ij|``, the score LP's gains."""
+    a = np.abs(theta.values)
+    np.fill_diagonal(a, 0.0)
+    return 2.0 * a.sum(axis=1)
+
+
+def _profile(s, c, lam):
+    return weighted_glasso(s, compute_weights(c), lam, tol=PROFILE_TOL)
+
+
+class TestProfile:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(4, 10), st.floats(0.01, 0.2))
+    def test_score_entry_is_the_tangent_plane(self, seed, n, lam):
+        # One graph step at c0 gives theta1, then the score step gives c1:
+        # the trace's score entry is its graph entry plus
+        # lam * gains(theta1) @ (c1 - c0), to roundoff of the entries.
+        x = np.random.default_rng(seed).standard_normal((n, 50 * n))
+        res = fit(x, hyper=Hyperparams(lam=lam, bca_max_iter=1))
+        first, second = res.objective_trace
+        c0 = np.full(n, resolve_budget(None, n) / n)
+        tangent = lam * _gains(res.theta) @ (res.c.values - c0)
+        assert second - first == pytest.approx(tangent, rel=0, abs=1e-12 * (1 + abs(first)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 8), st.floats(0.01, 0.2))
+    def test_envelope_gradient(self, seed, n, lam):
+        # A central difference of g along a zero-sum direction v matches
+        # lam * gains @ v.  Scores in [0.05, 0.45] keep c and c +- h v feasible.
+        r = np.random.default_rng(seed)
+        s, c, v = rand_pd(n, r), r.uniform(0.05, 0.45, n), r.standard_normal(n)
+        v -= v.mean()
+        v /= np.linalg.norm(v)
+        h = 1e-4
+        g = _profile(s, c, lam)
+        diff = (_profile(s, c + h * v, lam).objective
+                - _profile(s, c - h * v, lam).objective) / (2 * h)
+        # The slope moves by O(lam h) over [c - h v, c + h v], even across a
+        # support change; roundoff of g grows as 1/h; a KKT residual of
+        # PROFILE_TOL moves g by O(PROFILE_TOL^2).  Measured gaps on such
+        # draws stay below 1e-3 of this bound.
+        bound = lam * h + 1e-12 * (1 + abs(g.objective)) / h
+        assert abs(diff - lam * _gains(g.theta) @ v) <= bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 8), st.floats(0.01, 0.2))
+    def test_profile_is_midpoint_convex(self, seed, n, lam):
+        r = np.random.default_rng(seed)
+        s = rand_pd(n, r)
+        a, b = r.uniform(0.0, 0.45, (2, n))
+        ends = [_profile(s, c, lam) for c in (a, b)]
+        mid = _profile(s, (a + b) / 2, lam)
+        # A KKT residual of PROFILE_TOL leaves each g within PROFILE_TOL *
+        # sum|theta| of its optimum (first order); the rest is roundoff.
+        slack = PROFILE_TOL * sum(np.abs(p.theta.values).sum() for p in ends + [mid])
+        slack += 1e-12 * (1 + abs(mid.objective))
+        assert mid.objective <= (ends[0].objective + ends[1].objective) / 2 + slack

@@ -172,6 +172,9 @@ class TestCertificate:
         recomputed = kkt_residual(res.theta, s, w, lam)
         assert recomputed == pytest.approx(res.kkt_residual, abs=1e-12)
         assert recomputed <= 1e-6
+        # res.theta carries the inverse its own constructor computed; the
+        # raw matrix is factored afresh, so this certificate is independent.
+        assert kkt_residual(res.theta.values, s, w, lam) <= 1e-6
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.floats(0.01, 1.0))
@@ -324,6 +327,25 @@ class TestInvariances:
         assert res.converged
         assert len(res.objective_trace) == 1
         np.testing.assert_array_equal(res.theta.values, np.diag(1.0 / np.diag(s)))
+
+
+class TestFactorization:
+    # A Precision is factored once, when it is built: a solve factors each
+    # iterate it makes once and a given Precision never again.
+
+    def test_certified_warm_start_is_not_refactored(self, rng, cholesky_calls):
+        s, w = rand_pd(6, rng), uniform_weights(6)
+        first = weighted_glasso(s, w, lam=0.1, tol=1e-8)
+        cholesky_calls.clear()
+        again = weighted_glasso(s, w, lam=0.1, tol=1e-8, warm_start=first.theta)
+        assert again.iterations == 0
+        assert again.theta is first.theta
+        assert cholesky_calls == []
+
+    def test_cold_solve_factors_each_iterate_once(self, rng, cholesky_calls):
+        res = weighted_glasso(rand_pd(8, rng), uniform_weights(8), lam=0.1, tol=1e-8)
+        assert res.iterations >= 2
+        assert len(cholesky_calls) == res.iterations + 1
 
 
 class TestSupport:

@@ -141,6 +141,33 @@ def test_package_all_lists_every_public_name():
     assert public <= set(coreglasso.__all__), public - set(coreglasso.__all__)
 
 
+class TestPrecision:
+    def test_inverse_is_read_only_and_exactly_symmetric(self, rng):
+        p = Precision(rand_pd(6, rng))
+        assert np.array_equal(p.inverse, p.inverse.T)
+        with pytest.raises(ValueError):
+            p.inverse[0, 0] = 1.0
+
+    def test_inverse_inverts_values(self, rng):
+        p = Precision(rand_pd(8, rng))
+        np.testing.assert_allclose(p.values @ p.inverse, np.eye(8), rtol=0, atol=1e-10)
+
+    def test_logdet_matches_slogdet(self, rng):
+        theta = rand_pd(7, rng)
+        sign, logdet = np.linalg.slogdet(theta)
+        assert sign == 1.0
+        assert Precision(theta).logdet == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+
+    def test_replace_recomputes_the_factor(self, rng):
+        theta = rand_pd(5, rng)
+        p = dataclasses.replace(Precision(np.eye(5)), values=theta)
+        np.testing.assert_allclose(p.inverse, np.linalg.inv(theta), rtol=0, atol=1e-10)
+        assert p.logdet == pytest.approx(np.linalg.slogdet(theta)[1], rel=1e-12, abs=1e-12)
+        # The derived fields come only from the factor of the values.
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, inverse=np.eye(5))
+
+
 class TestEmpiricalCovariance:
     def test_constant_columns_give_zero(self):
         x = np.tile(np.array([[1.0], [2.0], [-3.0]]), (1, 7))
