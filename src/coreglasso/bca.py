@@ -75,8 +75,8 @@ def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
         )
 
 
-def fit(X, dist: DistanceMatrix | None = None,
-        hyper: Hyperparams | None = None, *,
+def fit(X, dist: DistanceMatrix | None = None, *,
+        hyper: Hyperparams,
         c_init: CoreScores | None = None,
         theta_init=None) -> FitResult:
     """Jointly learn a sparse precision matrix and core scores.
@@ -96,8 +96,6 @@ def fit(X, dist: DistanceMatrix | None = None,
     KKT-optimal within ``glasso_tol`` for the weights of ``c``, which
     solves the score LP for ``|theta|``.  Hitting either cap leaves it False.
     """
-    if hyper is None:
-        raise ConfigError("hyperparameters are required")
     s = empirical_covariance(X, hyper.ridge)
     n = s.shape[0]
     budget = resolve_budget(hyper.M, n)
@@ -161,16 +159,14 @@ def fit(X, dist: DistanceMatrix | None = None,
 
 
 def fit_graph_given_scores(X, c: CoreScores,
-                           dist: DistanceMatrix | None = None,
-                           hyper: Hyperparams | None = None) -> GlassoResult:
+                           dist: DistanceMatrix | None = None, *,
+                           hyper: Hyperparams) -> GlassoResult:
     """Single graph step for fixed core scores.
 
     Convenience entry point: one weighted graphical lasso solve with the
     weights implied by ``c``.  The scores must respect the pairwise
     bounds so the weight floor stays inactive.
     """
-    if hyper is None:
-        raise ConfigError("hyperparameters are required")
     s = empirical_covariance(X, hyper.ridge)
     _check_scores(c, s.shape[0], dist, hyper)
     w = compute_weights(c, dist, hyper.e)

@@ -41,7 +41,7 @@ from .io import (
     write_trace_csv,
 )
 from .metrics import _core_size, compare_methods, group_compare, support_recovery
-from .model import CoreScores, DistanceMatrix, Hyperparams, _check_setting
+from .model import CoreScores, DistanceMatrix, Hyperparams, _check_adjacency, _check_setting
 from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
@@ -119,11 +119,18 @@ def _edge_count(theta, threshold=0.0) -> int:
     return int(np.triu(support(theta, threshold), 1).sum())
 
 
-def _load_distances(path):
-    """The distance matrix at ``path``, or None without one."""
-    if path is None:
-        return None
-    return DistanceMatrix(read_square_csv(path, name="distance matrix")[0])
+def _fit(features_path, dist_path, hyper, threshold):
+    """Read the inputs and run one fit; returns the features, the
+    ``FitResult`` and the fields a fit and a grid cell both report."""
+    features = read_features_csv(features_path)
+    dist = None if dist_path is None else read_square_csv(dist_path, DistanceMatrix)[0]
+    result = bca_fit(features, dist=dist, hyper=hyper)
+    return features, result, {
+        "edges": _edge_count(result.theta, threshold),
+        "converged": result.converged,
+        "outer_iterations": result.outer_iterations,
+        "objective": float(result.objective_trace[-1]),
+    }
 
 
 # Each command writes its outputs under ``out`` and returns the fields
@@ -132,11 +139,8 @@ def _load_distances(path):
 
 
 def cmd_fit(args, out):
-    features = read_features_csv(args.features)
-    dist = _load_distances(args.distances)
-    hyper = _hyper_from_args(args)
-    result = bca_fit(features, dist=dist, hyper=hyper)
-
+    features, result, fields = _fit(args.features, args.distances,
+                                    _hyper_from_args(args), args.threshold)
     labels = features.node_labels
     write_scores_json(out / "scores.json", result.c, labels=labels)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
@@ -146,16 +150,13 @@ def cmd_fit(args, out):
         "resolved_M": result.c.budget,
         "n_nodes": features.n_nodes,
         "n_samples": features.n_samples,
-        "converged": result.converged,
-        "outer_iterations": result.outer_iterations,
-        "objective": result.objective_trace[-1],
-        "edges": _edge_count(result.theta, args.threshold),
+        **fields,
     }
 
 
 def cmd_scores_from_graph(args, out):
-    adjacency, labels = read_square_csv(args.graph, name="adjacency")
-    dist = _load_distances(args.distances)
+    adjacency, labels = read_square_csv(args.graph, _check_adjacency)
+    dist = None if args.distances is None else read_square_csv(args.distances, DistanceMatrix)[0]
     result = scores_from_graph(adjacency, dist=dist, e=args.e, M=args.M)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     return {
@@ -168,12 +169,12 @@ def cmd_scores_from_graph(args, out):
 def cmd_glasso(args, out):
     features = read_features_csv(args.features)
     n = features.n_nodes
-    dist = _load_distances(args.distances)
+    dist = None if args.distances is None else read_square_csv(args.distances, DistanceMatrix)[0]
     if args.scores is not None:
         c = read_scores_json(args.scores)
     else:
         c = CoreScores(np.zeros(n), budget=0.0)
-    result = fit_graph_given_scores(features, c, dist, _hyper_from_args(args))
+    result = fit_graph_given_scores(features, c, dist, hyper=_hyper_from_args(args))
     write_matrix_csv(out / "theta.csv", result.theta.values)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     return {
@@ -211,9 +212,9 @@ def cmd_sample(args, out):
 
 
 def cmd_eval(args, out):
-    truth_raw, _ = read_square_csv(args.truth, name="truth matrix")
+    truth_raw, _ = read_square_csv(args.truth)
     truth = support(truth_raw, args.threshold)
-    theta_est, _ = read_square_csv(args.estimate, name="estimate")
+    theta_est, _ = read_square_csv(args.estimate)
 
     methods = [m for m in args.baselines.split(",") if m] if args.baselines != "none" else []
     scores = {}
@@ -269,21 +270,15 @@ def cmd_group_compare(args, out):
 
 
 def _grid_cell(payload):
-    features_path, dist_path, hyper, threshold = payload
-    features = read_features_csv(features_path)
-    n = features.n_nodes
-    dist = _load_distances(dist_path)
-    result = bca_fit(features, dist=dist, hyper=hyper)
-    edges = _edge_count(result.theta, threshold)
-    total = n * (n - 1) // 2
+    features, _, fields = _fit(*payload)
+    hyper, n = payload[2], features.n_nodes
+    # The grid.csv columns, in order; **fields leaves edges where it is.
     return {
         "lambda": hyper.lam,
         "e": hyper.e,
-        "edges": edges,
-        "edge_pct": 100.0 * edges / total,
-        "converged": result.converged,
-        "outer_iterations": result.outer_iterations,
-        "objective": float(result.objective_trace[-1]),
+        "edges": fields["edges"],
+        "edge_pct": 100.0 * fields["edges"] / (n * (n - 1) // 2),
+        **fields,
     }
 
 

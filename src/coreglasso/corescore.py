@@ -97,7 +97,8 @@ def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
 
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
-    """Largest feasible total core mass for the pairwise-bounded polytope."""
+    """Largest feasible total core mass for the pairwise-bounded polytope;
+    ``eps_w`` stays a parameter only because ``perfbench/certify.py`` binds it."""
     _check_nodes(n)
     bounds = pair_bounds(n, dist, e, eps_w)
     if np.min(bounds) < 0:
@@ -124,7 +125,8 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
         Entry magnitudes of the precision matrix (or graph weights).
     dist, e : N x N spatial distances and their coupling strength.
     M : total core mass in (0, N] and within the polytope; None means N/8.
-    eps_w : slack closing the strict pairwise inequality.
+    eps_w : slack closing the strict pairwise inequality; a parameter
+        only because ``perfbench/certify.py`` binds it.
     include_diagonal : bool
         Whether |T_ii| contributes to the gain of node i (the literal
         double-sum reading).  Zero-diagonal inputs are unaffected.
@@ -164,8 +166,7 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
     )
 
 
-def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float | None = None,
-                      eps_w: float = EPS_W) -> LpResult:
+def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float | None = None) -> LpResult:
     """Estimate core scores for a known graph.
 
     Identical to :func:`core_score_lp` with the adjacency matrix playing
@@ -173,4 +174,4 @@ def scores_from_graph(adjacency, dist=None, e: float = 0.0, M: float | None = No
     zero diagonal and nonnegative entries.
     """
     a = _check_adjacency(adjacency)
-    return core_score_lp(a, dist=dist, e=e, M=M, eps_w=eps_w)
+    return core_score_lp(a, dist=dist, e=e, M=M)

@@ -7,7 +7,10 @@ of sample IDs and a first column of node labels are auto-detected.
 Square matrices (adjacency, distances, precision) use the same CSV
 conventions.  Scores are JSON ``{labels, values, M}``; learnt graphs are
 TSV edge lists ``(i, j, theta_ij)`` over pairs i < j; traces are CSV.
-Parse errors carry the offending path and line number.
+
+This module only parses: the value types and rules of ``model`` judge
+what a file holds, and every rejection starts with the file's path
+(a parse error's with its line number too).
 """
 
 import csv
@@ -16,6 +19,7 @@ import json
 
 import numpy as np
 
+from functools import partial
 from pathlib import Path
 
 from .errors import InputError
@@ -47,9 +51,9 @@ def _is_float(token: str) -> bool:
 def read_table_csv(path):
     """CSV table with auto-detected header row and label column.
 
-    Returns ``(values, row_labels, col_labels)`` where the labels are
-    None when absent.  Detection: a first row with any non-numeric cell
-    (beyond a possible corner cell) is a header; a first column with any
+    Returns ``(values, row_labels)``, the labels None when absent.
+    Detection: a first row with any non-numeric cell (beyond a possible
+    corner cell) is a header, and is skipped; a first column with any
     non-numeric cell is a label column.
     """
     path = Path(path)
@@ -69,9 +73,6 @@ def read_table_csv(path):
         raise InputError(f"{path}:1: no data rows")
     has_labels = any(not _is_float(row[0]) for _, row in body)
 
-    col_labels = None
-    if has_header:
-        col_labels = [tok.strip() for tok in (first[1:] if has_labels else first)]
     row_labels = [] if has_labels else None
     data = []
     for lineno, row in body:
@@ -85,28 +86,33 @@ def read_table_csv(path):
             raise InputError(
                 f"{path}:{lineno}: non-numeric value {bad!r}"
             ) from None
-    values = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise InputError(f"{path}: non-finite values in table")
-    return values, row_labels, col_labels
+    return np.asarray(data, dtype=float), row_labels
+
+
+def _judge(path, rule, *args):
+    """``rule(*args)``, with the path of the file the arguments came from
+    put in front of any :class:`InputError` it raises."""
+    try:
+        return rule(*args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def read_features_csv(path) -> FeatureMatrix:
     """Node-attribute matrix: N rows (nodes) by d columns (samples)."""
-    values, row_labels, _ = read_table_csv(path)
-    try:
-        return FeatureMatrix(values, node_labels=row_labels)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    values, row_labels = read_table_csv(path)
+    return _judge(path, FeatureMatrix, values, row_labels)
 
 
-def read_square_csv(path, name="matrix"):
-    """Square symmetric numeric matrix (adjacency, distance, precision)."""
-    values, row_labels, _ = read_table_csv(path)
-    try:
-        return _check_square_symmetric(values, name), row_labels
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def read_square_csv(path, check=partial(_check_square_symmetric, name="matrix")):
+    """Square matrix and its row labels (None when absent).
+
+    ``check`` judges the values and builds what is returned in their
+    place: the matrix rule by default, :class:`DistanceMatrix` for
+    distances, ``_check_adjacency`` for a graph.
+    """
+    values, row_labels = read_table_csv(path)
+    return _judge(path, check, values), row_labels
 
 
 def read_scores_json(path) -> CoreScores:
@@ -120,10 +126,7 @@ def read_scores_json(path) -> CoreScores:
         budget = float(payload["M"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed scores file ({exc})") from None
-    try:
-        return CoreScores(values, budget=budget)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _judge(path, CoreScores, values, budget)
 
 
 def _write_rows(path, rows, header=None, sep=",") -> None:
@@ -139,11 +142,8 @@ def _write_rows(path, rows, header=None, sep=",") -> None:
             fh.write(sep.join(map(str, row)) + "\n")
 
 
-def write_matrix_csv(path, values, labels=None) -> None:
-    rows = np.asarray(values, dtype=float).tolist()
-    if labels is not None:
-        rows = ([labels[i], *row] for i, row in enumerate(rows))
-    _write_rows(path, rows)
+def write_matrix_csv(path, values) -> None:
+    _write_rows(path, np.asarray(values, dtype=float).tolist())
 
 
 def write_scores_json(path, scores: CoreScores, labels=None) -> None:

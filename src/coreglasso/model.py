@@ -312,6 +312,8 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
     diagonal so the log term is finite.  ``e`` must be finite and
     nonnegative, ``eps_w`` finite and positive; raw distances are checked
     as a :class:`DistanceMatrix`.  The diagonal is ``inf`` (no bound).
+    ``eps_w`` is a parameter only for :func:`core_score_lp` and
+    :func:`max_core_mass` to pass on, as ``perfbench/certify.py`` binds theirs.
     """
     _check_setting(e, "e", "nonnegative")
     _check_setting(eps_w, "eps_w", "positive")
@@ -334,17 +336,16 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
     return b
 
 
-def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0,
-                    eps_w: float = EPS_W) -> WeightMatrix:
-    """Per-edge penalty weights ``max(eps_w, 1 - c_i - c_j + e*log(d_ij))``.
+def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0) -> WeightMatrix:
+    """Per-edge penalty weights ``max(EPS_W, 1 - c_i - c_j + e*log(d_ij))``.
 
     The weight is the slack of the pairwise bound of :func:`pair_bounds`
-    plus ``eps_w``.  The diagonal is left unpenalized (set to zero).  Raw
+    plus ``EPS_W``.  The diagonal is left unpenalized (set to zero).  Raw
     scores are checked as :class:`CoreScores` whose budget is their sum.
     """
     cv = (c if isinstance(c, CoreScores) else CoreScores(c, budget=np.sum(c))).values
-    raw = pair_bounds(cv.shape[0], dist, e, eps_w) + eps_w - cv[:, None] - cv[None, :]
-    w = np.maximum(eps_w, raw)
+    raw = pair_bounds(cv.shape[0], dist, e) + EPS_W - cv[:, None] - cv[None, :]
+    w = np.maximum(EPS_W, raw)
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w)
 

@@ -20,11 +20,12 @@ def read_all_bytes(directory):
     }
 
 
+STAR = np.zeros((5, 5))
+STAR[0, 1:] = STAR[1:, 0] = 1.0
+
+
 def star_csv(path):
-    a = np.zeros((5, 5))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    write_matrix_csv(path, a)
+    write_matrix_csv(path, STAR)
     return path
 
 
@@ -474,6 +475,51 @@ def test_unused_flags_rejected(tmp_path, capsys, command, flag):
         main([command, *required, *flag, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def _with(a, value, *cells):
+    """A copy of ``a`` with ``value`` at each of the (i, j) ``cells``."""
+    a = np.array(a, dtype=float)
+    for cell in cells:
+        a[cell] = value
+    return a
+
+
+_FEATURES = str(FIXTURE / "features.csv")
+
+
+@pytest.mark.parametrize("values, argv, message", [
+    (_with(np.ones((4, 6)), np.nan, (2, 3)), ["fit", "--features", "{bad}"],
+     "feature matrix contains non-finite entries"),
+    (_with(sample_coordinates(30, seed=0)[1].values, -1.0, (3, 7), (7, 3)),
+     ["fit", "--features", _FEATURES, "--distances", "{bad}"],
+     "distance matrix has negative entries"),
+    (_with(STAR, 1.0, (2, 2)), ["scores-from-graph", "--graph", "{bad}"],
+     "adjacency must have a zero diagonal"),
+    (_with(STAR, -1.0, (1, 3), (3, 1)), ["scores-from-graph", "--graph", "{bad}"],
+     "adjacency must be nonnegative"),
+    (_with(STAR, 1.0, (1, 2)), ["eval", "--truth", "{bad}", "--estimate", "{star}"],
+     "matrix must be symmetric"),
+    (_with(STAR, np.nan, (0, 1), (1, 0)), ["eval", "--truth", "{star}", "--estimate", "{bad}"],
+     "matrix contains non-finite entries"),
+    ('{"values": [NaN, 0.5], "M": 0.5}', ["glasso", "--features", _FEATURES, "--scores", "{bad}"],
+     "core scores contain non-finite entries"),
+], ids=["features-nan", "distances-negative", "graph-diagonal", "graph-negative",
+        "truth-asymmetric", "estimate-nan", "scores-nan"])
+def test_bad_file_contents_name_the_file(tmp_path, capsys, values, argv, message):
+    # io only parses; the value types judge each file, and the message
+    # starts with the path of the file that broke the rule.
+    if isinstance(values, str):
+        bad = tmp_path / "bad.json"
+        bad.write_text(values)
+    else:
+        bad = tmp_path / "bad.csv"
+        write_matrix_csv(bad, values)
+    star = star_csv(tmp_path / "star.csv")
+    argv = [arg.format(bad=bad, star=star) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "o" / "meta.json").exists()
 
 
 def _contract_runs(tmp_path):

@@ -230,7 +230,6 @@ class TestCertificate:
             ("bca_max_iter", lambda: Hyperparams(lam=0.1, bca_max_iter=2.5)),
             ("glasso_max_iter", lambda: Hyperparams(lam=0.1, glasso_max_iter=2.5)),
             ("eps_w", lambda: max_core_mass(5, eps_w=np.nan)),
-            ("eps_w", lambda: compute_weights(np.zeros(6), eps_w=-0.5)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=np.nan)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=-0.5)),
             ("tol", lambda: minres_scores(adj, tol=np.nan)),

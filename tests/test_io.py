@@ -3,6 +3,7 @@ import pytest
 
 from coreglasso import CoreScores, InputError
 from coreglasso.io import (
+    _write_rows,
     read_features_csv,
     read_scores_json,
     read_square_csv,
@@ -21,32 +22,29 @@ class TestReadTable:
         # writes "CSV UTF-8"; it must not turn the first column into labels.
         for raw in (b"1.0,2.0\n3.0,4.0\n", b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n"):
             p.write_bytes(raw)
-            values, row_labels, col_labels = read_table_csv(p)
+            values, row_labels = read_table_csv(p)
             np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
-            assert row_labels is None and col_labels is None
+            assert row_labels is None
 
     def test_header_detected(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("s1,s2\n1.0,2.0\n3.0,4.0\n")
-        values, row_labels, col_labels = read_table_csv(p)
-        assert col_labels == ["s1", "s2"]
+        values, row_labels = read_table_csv(p)
         assert row_labels is None
-        assert values.shape == (2, 2)
+        np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
 
     def test_labels_detected(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("a,1.0,2.0\nb,3.0,4.0\n")
-        values, row_labels, col_labels = read_table_csv(p)
+        values, row_labels = read_table_csv(p)
         assert row_labels == ["a", "b"]
-        assert col_labels is None
         np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
 
     def test_header_and_labels(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("node,s1,s2\na,1.0,2.0\nb,3.0,4.0\n")
-        values, row_labels, col_labels = read_table_csv(p)
+        values, row_labels = read_table_csv(p)
         assert row_labels == ["a", "b"]
-        assert col_labels == ["s1", "s2"]
         np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
 
     def test_bad_value_has_line_number(self, tmp_path):
@@ -67,6 +65,16 @@ class TestReadTable:
         with pytest.raises(InputError, match=r"x\.csv:1"):
             read_table_csv(p)
 
+    def test_non_finite_values_left_to_the_value_types(self, tmp_path):
+        # The parser keeps NaN and inf; FeatureMatrix rejects them, and the
+        # reader puts the file's path in front of its message.
+        p = tmp_path / "x.csv"
+        p.write_text("1.0,nan\n3.0,inf\n")
+        values, _ = read_table_csv(p)
+        assert np.isnan(values[0, 1]) and np.isinf(values[1, 1])
+        with pytest.raises(InputError, match=r"x\.csv: feature matrix contains non-finite"):
+            read_features_csv(p)
+
 
 class TestSquareAndFeatures:
     def test_square_enforced(self, tmp_path):
@@ -84,7 +92,7 @@ class TestSquareAndFeatures:
     def test_features_roundtrip(self, tmp_path, rng):
         x = rng.standard_normal((5, 8))
         p = tmp_path / "f.csv"
-        write_matrix_csv(p, x, labels=[f"n{i}" for i in range(5)])
+        _write_rows(p, ([f"n{i}", *row] for i, row in enumerate(x.tolist())))
         fm = read_features_csv(p)
         np.testing.assert_array_equal(fm.values, x)
         assert fm.node_labels == tuple(f"n{i}" for i in range(5))
@@ -137,7 +145,7 @@ class TestWriters:
         m = rng.standard_normal((4, 4))
         p = tmp_path / "m.csv"
         write_matrix_csv(p, m)
-        values, _, _ = read_table_csv(p)
+        values, _ = read_table_csv(p)
         np.testing.assert_array_equal(values, m)
 
     def test_cells_golden_bytes(self, tmp_path):
@@ -145,10 +153,10 @@ class TestWriters:
         # round-trip repr, ints as integers.
         values = [0.1, 1 / 3, 1e-05, 1e16, -0.0, 5e-324]
         p = tmp_path / "m.csv"
-        write_matrix_csv(p, [values[:3], values[3:]], labels=["a", 7])
+        write_matrix_csv(p, [values[:3], values[3:]])
         assert p.read_bytes() == (
-            b"a,0.1,0.3333333333333333,1e-05\n"
-            b"7,1e+16,-0.0,5e-324\n"
+            b"0.1,0.3333333333333333,1e-05\n"
+            b"1e+16,-0.0,5e-324\n"
         )
         theta = np.array([[1.0, 0.1, 1e16], [0.1, 1.0, 5e-324], [1e16, 5e-324, 1.0]])
         write_edges_tsv(p, theta)

@@ -220,7 +220,7 @@ class TestComputeWeights:
         assert w[0, 1] == pytest.approx(0.3)
 
     def test_floor_active(self):
-        w = compute_weights(np.array([0.5, 0.5]), eps_w=1e-3).values
+        w = compute_weights(np.array([0.5, 0.5])).values
         assert w[0, 1] == 1e-3
 
     def test_unit_distance_log_vanishes(self):
@@ -270,7 +270,7 @@ class TestComputeWeights:
                 return
             dist = DistanceMatrix(d)
             e = 0.09
-        w = compute_weights(c, dist, e=e, eps_w=1e-3).values
+        w = compute_weights(c, dist, e=e).values
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(w, w.T)
         assert w[off].min() >= 1e-3
