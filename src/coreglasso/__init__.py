@@ -35,7 +35,6 @@ from .model import (
     FeatureMatrix,
     Hyperparams,
     Precision,
-    WeightMatrix,
     compute_weights,
     empirical_covariance,
     joint_objective,
@@ -61,7 +60,6 @@ __all__ = [
     "OrderedGraph",
     "Precision",
     "SyntheticInstance",
-    "WeightMatrix",
     "compare_methods",
     "compute_weights",
     "core_score_lp",

@@ -11,6 +11,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
+from .errors import InputError
 from .model import _check_adjacency, _check_setting
 
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
@@ -86,7 +87,9 @@ def kcore_scores(A) -> BaselineScores:
     The core number of a vertex is the largest k such that it survives
     in the k-core; scores are core numbers divided by their maximum.
     """
-    a = _check_adjacency(A, binary=True)
+    a = _check_adjacency(A)
+    if not np.isin(a, (0.0, 1.0)).all():
+        raise InputError("adjacency must be binary")
     n = a.shape[0]
     degree = a.sum(axis=1).astype(np.int64)
     alive = np.ones(n, dtype=bool)

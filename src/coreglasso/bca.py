@@ -142,7 +142,7 @@ def fit(X, dist: DistanceMatrix | None = None, *,
         # Only the penalty term depends on c; the new weights are the
         # next graph step's.
         w_new = compute_weights(c, dist, hyper.e)
-        obj = gres.objective + hyper.lam * float(((w.values - w_new.values) * abs_theta).sum())
+        obj = gres.objective + hyper.lam * float(((w - w_new) * abs_theta).sum())
         trace.append(obj)
         w = w_new
 

@@ -119,11 +119,15 @@ def _edge_count(theta, threshold=0.0) -> int:
     return int(np.triu(support(theta, threshold), 1).sum())
 
 
-def _fit(features_path, dist_path, hyper, threshold):
-    """Read the inputs and run one fit; returns the features, the
+def _distances(path):
+    """The ``--distances`` file as a ``DistanceMatrix``; None without the flag."""
+    return None if path is None else read_square_csv(path, DistanceMatrix)[0]
+
+
+def _fit(features_path, dist, hyper, threshold):
+    """Read the features and run one fit; returns the features, the
     ``FitResult`` and the fields a fit and a grid cell both report."""
     features = read_features_csv(features_path)
-    dist = None if dist_path is None else read_square_csv(dist_path, DistanceMatrix)[0]
     result = bca_fit(features, dist=dist, hyper=hyper)
     return features, result, {
         "edges": _edge_count(result.theta, threshold),
@@ -139,7 +143,7 @@ def _fit(features_path, dist_path, hyper, threshold):
 
 
 def cmd_fit(args, out):
-    features, result, fields = _fit(args.features, args.distances,
+    features, result, fields = _fit(args.features, _distances(args.distances),
                                     _hyper_from_args(args), args.threshold)
     labels = features.node_labels
     write_scores_json(out / "scores.json", result.c, labels=labels)
@@ -156,8 +160,7 @@ def cmd_fit(args, out):
 
 def cmd_scores_from_graph(args, out):
     adjacency, labels = read_square_csv(args.graph, _check_adjacency)
-    dist = None if args.distances is None else read_square_csv(args.distances, DistanceMatrix)[0]
-    result = scores_from_graph(adjacency, dist=dist, e=args.e, M=args.M)
+    result = scores_from_graph(adjacency, dist=_distances(args.distances), e=args.e, M=args.M)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     return {
         "resolved_M": result.c.budget,
@@ -169,7 +172,7 @@ def cmd_scores_from_graph(args, out):
 def cmd_glasso(args, out):
     features = read_features_csv(args.features)
     n = features.n_nodes
-    dist = None if args.distances is None else read_square_csv(args.distances, DistanceMatrix)[0]
+    dist = _distances(args.distances)
     if args.scores is not None:
         c = read_scores_json(args.scores)
     else:
@@ -289,8 +292,11 @@ def cmd_grid(args, out):
     if not lambdas or not es:
         raise CoreglassoError("empty grid: no lambda or e values")
     base = Hyperparams(lam=lambdas[0], **{k: getattr(args, k) for k in _GRID_HYPER_NAMES})
+    # Each cell still reads the features itself, as perfbench's
+    # test_counts_repeat_between_runs pins one read per cell (ROADMAP item 8).
+    dist = _distances(args.distances)
     cells = [
-        (args.features, args.distances, dataclasses.replace(base, lam=lam, e=e), args.threshold)
+        (args.features, dist, dataclasses.replace(base, lam=lam, e=e), args.threshold)
         for e in es for lam in lambdas
     ]
     # A pool starts all its workers at once; more than one per cell is waste.

@@ -100,8 +100,9 @@ def weighted_glasso(S, W, lam: float, tol: float = Hyperparams.glasso_tol,
     Parameters
     ----------
     S : (N, N) symmetric PSD matrix with positive diagonal.
-    W : WeightMatrix or (N, N) nonnegative symmetric array
-        Per-edge weights; the diagonal is never penalized.
+    W : (N, N) array
+        Per-edge weights, square, finite, symmetric and nonnegative off the
+        diagonal; the diagonal is never penalized.
     lam : float
         Penalty scale, finite and > 0; the effective penalty on the ordered
         pair (i, j) is ``lam * w_ij``, i.e. ``2 lam w_ij`` per undirected edge.

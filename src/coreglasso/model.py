@@ -19,7 +19,6 @@ __all__ = [
     "FeatureMatrix",
     "DistanceMatrix",
     "CoreScores",
-    "WeightMatrix",
     "Precision",
     "Hyperparams",
     "EPS_W",
@@ -60,15 +59,13 @@ def _check_square_symmetric(values, name) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def _check_adjacency(A, name="adjacency", binary=False) -> np.ndarray:
+def _check_adjacency(A) -> np.ndarray:
     """A graph: square/finite/symmetric, zero diagonal, nonnegative."""
-    a = _check_square_symmetric(A, name)
+    a = _check_square_symmetric(A, "adjacency")
     if np.abs(np.diag(a)).max() != 0:
-        raise InputError(f"{name} must have a zero diagonal")
+        raise InputError("adjacency must have a zero diagonal")
     if a.min() < 0:
-        raise InputError(f"{name} must be nonnegative")
-    if binary and not np.isin(a, (0.0, 1.0)).all():
-        raise InputError(f"{name} must be binary")
+        raise InputError("adjacency must be nonnegative")
     return a
 
 
@@ -150,21 +147,6 @@ class CoreScores:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Symmetric nonnegative per-edge penalty weights, zero diagonal."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _check_square_symmetric(self.values, "weight matrix")
-        off = v[~np.eye(v.shape[0], dtype=bool)]
-        if off.size and off.min() <= 0:
-            raise InputError("off-diagonal weights must be strictly positive")
-        np.fill_diagonal(v, 0.0)
-        object.__setattr__(self, "values", _frozen(v))
 
 
 @dataclass(frozen=True)
@@ -336,36 +318,36 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
     return b
 
 
-def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0) -> WeightMatrix:
+def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0) -> np.ndarray:
     """Per-edge penalty weights ``max(EPS_W, 1 - c_i - c_j + e*log(d_ij))``.
 
     The weight is the slack of the pairwise bound of :func:`pair_bounds`
-    plus ``EPS_W``.  The diagonal is left unpenalized (set to zero).  Raw
+    plus ``EPS_W``, so the result meets the one weight rule of
+    :func:`_graph_problem` with every off-diagonal weight at least ``EPS_W``:
+    exactly symmetric (the average with its transpose), zero diagonal.  Raw
     scores are checked as :class:`CoreScores` whose budget is their sum.
     """
     cv = (c if isinstance(c, CoreScores) else CoreScores(c, budget=np.sum(c))).values
     raw = pair_bounds(cv.shape[0], dist, e) + EPS_W - cv[:, None] - cv[None, :]
     w = np.maximum(EPS_W, raw)
     np.fill_diagonal(w, 0.0)
-    return WeightMatrix(w)
+    return 0.5 * (w + w.T)
 
 
 def _graph_problem(S, W, lam, theta=None):
     """The one check of a graph-step problem; returns ``(S, lam * W, theta)``.
 
-    ``lam`` must be positive, ``S`` square and symmetric, and ``W`` of its
-    shape and nonnegative off the diagonal (a :class:`WeightMatrix` is
-    trusted); the penalty gets a zero diagonal.  A given ``theta`` is
-    returned as a :class:`Precision` of the same shape; None stays None.
+    ``lam`` must be positive and ``S`` square and symmetric.  The one weight
+    rule: ``W`` is square, finite, symmetric, of ``S``'s shape and
+    nonnegative off the diagonal; the diagonal is never penalized (the
+    penalty gets a zero diagonal).  A given ``theta`` is returned as a
+    :class:`Precision` of the same shape; None stays None.
     """
     _check_setting(lam, "lam", "positive")
     s = _check_square_symmetric(S, "covariance")
-    if isinstance(W, WeightMatrix):
-        wv = W.values
-    else:
-        wv = _check_square_symmetric(W, "weight matrix")
-        if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
-            raise InputError("weights must be nonnegative")
+    wv = _check_square_symmetric(W, "weight matrix")
+    if wv[~np.eye(wv.shape[0], dtype=bool)].min(initial=0.0) < 0:
+        raise InputError("weights must be nonnegative")
     if theta is not None and not isinstance(theta, Precision):
         theta = Precision(theta)
     for name, v in (("weight matrix", wv), ("theta", None if theta is None else theta.values)):

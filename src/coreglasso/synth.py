@@ -97,7 +97,7 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
         _check_setting(sparsify_at, "sparsify_at", "nonnegative")
 
     rng = np.random.default_rng(seed)
-    w = compute_weights(c_true, dist, e).values
+    w = compute_weights(c_true, dist, e)
     iu = np.triu_indices(n, k=1)
     scale = 1.0 / (lam * w[iu])
     offd = rng.laplace(loc=0.0, scale=scale)

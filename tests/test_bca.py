@@ -56,10 +56,18 @@ ZERO_VARIANCE = ("covariance diagonal must be strictly positive: a node has "
     (lambda: fit_graph_given_scores(_zero_variance_features(),
                                     CoreScores(np.full(4, 0.125), budget=0.5),
                                     hyper=Hyperparams(lam=0.1)), ZERO_VARIANCE),
-], ids=["kkt_residual", "joint_objective", "warm_start", "fit", "fit_graph_given_scores"])
+    (lambda: weighted_glasso(np.eye(2), [[0.0, -0.5], [-0.5, 0.0]], 0.1),
+     "weights must be nonnegative"),
+    (lambda: kkt_residual(np.eye(2), np.eye(2), [[0.0, 1.0], [0.5, 0.0]], 0.1),
+     "weight matrix must be symmetric"),
+    (lambda: weighted_glasso(np.eye(2), [[0.0, np.nan], [np.nan, 0.0]], 0.1),
+     "weight matrix contains non-finite entries"),
+], ids=["kkt_residual", "joint_objective", "warm_start", "fit", "fit_graph_given_scores",
+        "negative_weight", "asymmetric_weights", "nan_weight"])
 def test_graph_step_entry_points_check_one_problem(call, message):
     # S, W and theta are checked together, so a mismatched S raises instead
-    # of broadcasting, and both bca entry points share one positive-diagonal rule.
+    # of broadcasting, both bca entry points share one positive-diagonal rule,
+    # and every W meets the one weight rule.
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
@@ -244,7 +252,7 @@ class TestFitGraphGivenScores:
     def test_weights_reflect_scores(self):
         c = np.zeros(6)
         c[0] = c[1] = 0.45
-        w = compute_weights(c).values
+        w = compute_weights(c)
         assert w[0, 1] == pytest.approx(0.1)
         assert w[0, 2] == pytest.approx(0.55)
         assert w[2, 3] == pytest.approx(1.0)

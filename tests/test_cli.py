@@ -416,13 +416,36 @@ class TestGrid:
         assert cell["edges"] == meta["edges"]
         assert cell["objective"] == pytest.approx(meta["objective"], abs=1e-12)
 
-    def test_parallel_jobs_deterministic(self, tmp_path):
+    def test_distances_read_once(self, tmp_path, monkeypatch):
+        # The cells share one parsed DistanceMatrix.
+        dist = tmp_path / "d.csv"
+        write_matrix_csv(dist, sample_coordinates(30, seed=0)[1].values)
+        calls = []
+
+        def counting(path, *args, **kwargs):
+            calls.append(path)
+            return read_square_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_square_csv", counting)
+        assert main([
+            "grid", "--features", str(FIXTURE / "features.csv"), "--distances", str(dist),
+            "--lambdas", "0.05,0.1", "--es", "0,0.09", "--out", str(tmp_path / "g"),
+        ]) == 0
+        assert calls == [str(dist)]
+
+    @pytest.mark.parametrize("with_distances", [False, True], ids=["features", "distances"])
+    def test_parallel_jobs_deterministic(self, tmp_path, with_distances):
         serial = tmp_path / "s"
         parallel = tmp_path / "p"
         base = [
             "grid", "--features", str(FIXTURE / "features.csv"),
             "--lambdas", "0.05,0.1",
         ]
+        if with_distances:
+            # The pool sends the parsed DistanceMatrix to its workers.
+            dist = tmp_path / "d.csv"
+            write_matrix_csv(dist, sample_coordinates(30, seed=0)[1].values)
+            base += ["--distances", str(dist), "--es", "0,0.09"]
         assert main(base + ["--out", str(serial)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert (serial / "grid.csv").read_bytes() == (parallel / "grid.csv").read_bytes()

@@ -287,7 +287,7 @@ class TestInvariances:
         n = 7
         s = rand_pd(n, rng, n_samples=50)
         c = rng.uniform(0, 0.45, n)
-        w = compute_weights(c).values
+        w = compute_weights(c)
         perm = rng.permutation(n)
         a = weighted_glasso(s, w, lam=0.1, tol=1e-9)
         b = weighted_glasso(

@@ -19,7 +19,6 @@ from coreglasso import (
     ConfigError,
     NotPositiveDefiniteError,
     Precision,
-    WeightMatrix,
     compute_weights,
     empirical_covariance,
     joint_objective,
@@ -58,10 +57,6 @@ class TestTypes:
         with pytest.raises(NotPositiveDefiniteError):
             Precision(np.array([[1.0, 2.0], [2.0, 1.0]]))
         Precision(np.eye(3))
-
-    def test_weight_matrix_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            WeightMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
     def test_distance_matrix_symmetric(self):
         with pytest.raises(InputError):
@@ -210,22 +205,22 @@ class TestEmpiricalCovariance:
 
 class TestComputeWeights:
     def test_zero_scores_give_unit_weights(self):
-        w = compute_weights(np.zeros(4)).values
+        w = compute_weights(np.zeros(4))
         off = ~np.eye(4, dtype=bool)
         assert np.all(w[off] == 1.0)
         assert np.all(np.diag(w) == 0.0)
 
     def test_formula(self):
-        w = compute_weights(np.array([0.3, 0.4])).values
+        w = compute_weights(np.array([0.3, 0.4]))
         assert w[0, 1] == pytest.approx(0.3)
 
     def test_floor_active(self):
-        w = compute_weights(np.array([0.5, 0.5])).values
+        w = compute_weights(np.array([0.5, 0.5]))
         assert w[0, 1] == 1e-3
 
     def test_unit_distance_log_vanishes(self):
         dist = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        w = compute_weights(np.zeros(2), dist, e=0.09).values
+        w = compute_weights(np.zeros(2), dist, e=0.09)
         assert w[0, 1] == pytest.approx(1.0)
 
     def test_pair_bounds_reject_bad_coupling(self):
@@ -270,11 +265,20 @@ class TestComputeWeights:
                 return
             dist = DistanceMatrix(d)
             e = 0.09
-        w = compute_weights(c, dist, e=e).values
+        w = compute_weights(c, dist, e=e)
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(w, w.T)
         assert w[off].min() >= 1e-3
         assert np.all(np.diag(w) == 0.0)
+
+    def test_exactly_symmetric_where_the_formula_rounds(self):
+        # 1 - c_i - c_j and 1 - c_j - c_i differ in the last bit for many
+        # pairs; the weights average the two, so W equals its transpose.
+        c = np.random.default_rng(0).uniform(0, 0.45, 60)
+        raw = 1.0 - c[:, None] - c[None, :]
+        assert not np.array_equal(raw, raw.T)
+        w = compute_weights(c)
+        assert np.array_equal(w, w.T)
 
 
 class TestJointObjective:
