@@ -13,6 +13,7 @@ with results still written.
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -62,16 +63,19 @@ def _hyper_from_args(args) -> Hyperparams:
     return Hyperparams(**{n: getattr(args, n) for n in _HYPER_NAMES if hasattr(args, n)})
 
 
+def _add_flag(p, name, default, help=None):
+    """The flag of setting ``name``, typed by its default (None means float)."""
+    flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+    p.add_argument(flag, dest=name, type=int if isinstance(default, int) else float,
+                   default=default, help=help)
+
+
 def _add_hyper_flags(p, names=_HYPER_NAMES):
     """One flag per named ``Hyperparams`` field, defaulting to the field's
     default; ``lam`` has none there, so ``--lambda`` defaults to 0.1."""
     for f in dataclasses.fields(Hyperparams):
-        if f.name not in names:
-            continue
-        default = 0.1 if f.name == "lam" else f.default
-        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, type=int if isinstance(default, int) else float,
-                       default=default, help=_HYPER_HELP.get(f.name))
+        if f.name in names:
+            _add_flag(p, f.name, 0.1 if f.name == "lam" else f.default, _HYPER_HELP.get(f.name))
 
 
 def _floats(text, flag):
@@ -200,7 +204,7 @@ def cmd_sample(args, out):
         write_matrix_csv(out / "dist.csv", dist.values)
     inst = sample_instance(
         n, args.d, c_true, lam=args.lam, e=args.e, dist=dist,
-        sparsify_at=args.sparsify_at, pd_margin=args.pd_margin,
+        keep=args.keep, pd_margin=args.pd_margin,
         seed=args.seed,
     )
     write_matrix_csv(out / "features.csv", inst.X.values)
@@ -359,15 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=100.0,
-                   help="Laplace prior scale (default %(default)s)")
-    p.add_argument("--e", type=float, default=0.0)
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--core-frac", type=float, default=0.25)
-    p.add_argument("--core-value", type=float, default=0.49)
-    p.add_argument("--sparsify-at", type=float, default=None)
-    p.add_argument("--pd-margin", type=float, default=0.1)
+    # Library defaults, but sample_instance's lam has none; budget is --M.
+    _add_flag(p, "lam", 100.0, "Laplace prior scale (default %(default)s)")
+    for func, names in ((planted_scores, ("core_frac", "core_value", "budget")),
+                        (sample_instance, ("e", "keep", "pd_margin", "seed"))):
+        params = inspect.signature(func).parameters
+        for name in names:
+            _add_flag(p, "M" if name == "budget" else name, params[name].default)
     p.add_argument("--with-coordinates", action="store_true")
     p.set_defaults(func=cmd_sample)
 

@@ -10,7 +10,7 @@ construction, and the joint MAP objective that the block solver ascends.
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, InputError, NotPositiveDefiniteError
@@ -38,6 +38,14 @@ def _frozen(values, dtype=float):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+class _Judged:
+    """Pickles through the constructor, so ``__post_init__`` judges and
+    freezes the unpickled copy again."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _check_square_symmetric(values, name) -> np.ndarray:
@@ -70,7 +78,7 @@ def _check_adjacency(A) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(_Judged):
     """Node attributes: N rows (nodes) by d columns (i.i.d. samples)."""
 
     values: np.ndarray
@@ -105,7 +113,7 @@ class FeatureMatrix:
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Judged):
     """Pairwise spatial distances; the diagonal is ignored by all consumers."""
 
     values: np.ndarray
@@ -119,7 +127,7 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class CoreScores:
+class CoreScores(_Judged):
     """Per-node core scores in [0, 1] summing to the mass budget."""
 
     values: np.ndarray
@@ -150,7 +158,7 @@ class CoreScores:
 
 
 @dataclass(frozen=True)
-class Precision:
+class Precision(_Judged):
     """Symmetric positive-definite precision matrix; its one Cholesky factor
     gives ``inverse`` (exactly symmetric, read-only) and ``logdet``."""
 

@@ -2,7 +2,8 @@
 
 Draws a precision matrix whose off-diagonal entries follow the Laplace
 prior implied by planted core scores (scale ``1/(lam * w_ij)``), makes
-it positive definite by diagonal dominance, and samples Gaussian node
+keeps the largest fraction ``keep`` of them in magnitude, makes it
+positive definite by diagonal dominance, and samples Gaussian node
 attributes from the implied covariance.  Used as the ground-truth oracle
 in recovery tests.
 
@@ -70,7 +71,7 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
 
 def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
                     e: float = 0.0, dist: DistanceMatrix | None = None,
-                    sparsify_at: float | None = None, pd_margin: float = 0.1,
+                    keep: float = 0.7, pd_margin: float = 0.1,
                     seed: int = 0) -> SyntheticInstance:
     """Sample a planted instance of the generative model.
 
@@ -81,9 +82,9 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     lam : finite, positive Laplace prior scale; entry (i, j) has expected
         magnitude ``1/(lam * w_ij)``.
     e, dist : distance coupling, as in the weight construction.
-    sparsify_at : magnitude below which drawn entries are zeroed (finite,
-        nonnegative); None uses the 30th percentile of the drawn
-        magnitudes so the planted support is unambiguous.
+    keep : fraction of the drawn off-diagonal entries kept, in (0, 1]:
+        entries below the ``100 - 100 * keep`` percentile of the drawn
+        magnitudes are zeroed (the default zeroes below the 30th).
     pd_margin : diagonal-dominance margin added to the row sums; must be
         finite and positive.
     seed : RNG seed; fixed seed gives a byte-identical instance.
@@ -93,20 +94,17 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     _check_setting(d, "d", "count")
     _check_setting(lam, "lam", "positive")
     _check_setting(pd_margin, "pd_margin", "positive")
-    if sparsify_at is not None:
-        _check_setting(sparsify_at, "sparsify_at", "nonnegative")
+    _check_setting(keep, "keep", "positive")
+    if keep > 1:
+        raise ConfigError(f"keep must be at most 1, got {keep}")
 
     rng = np.random.default_rng(seed)
     w = compute_weights(c_true, dist, e)
     iu = np.triu_indices(n, k=1)
     scale = 1.0 / (lam * w[iu])
     offd = rng.laplace(loc=0.0, scale=scale)
-    threshold = (
-        float(np.percentile(np.abs(offd), 30.0))
-        if sparsify_at is None
-        else float(sparsify_at)
-    )
-    offd[np.abs(offd) < threshold] = 0.0
+    # Not 100 * (1 - keep): only this form gives exactly 30.0 at 0.7.
+    offd[np.abs(offd) < np.percentile(np.abs(offd), 100.0 - 100.0 * keep)] = 0.0
 
     theta = np.zeros((n, n))
     theta[iu] = offd

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 from pathlib import Path
@@ -218,6 +219,14 @@ class TestSample:
         ]) == 0
         theta, _ = read_square_csv(out / "theta_true.csv")
         assert np.linalg.eigvalsh(theta).min() > 0
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["sample", "--n", "4", "--d", "2"])
+        params = {**inspect.signature(planted_scores).parameters,
+                  **inspect.signature(sample_instance).parameters}
+        for name in ("core_frac", "core_value", "e", "keep", "pd_margin", "seed"):
+            assert getattr(args, name) == params[name].default, name
+        assert args.M is params["budget"].default
 
     def test_coordinates_written_when_coupled(self, tmp_path):
         out = tmp_path / "o"
@@ -587,7 +596,7 @@ def _contract_runs(tmp_path):
             ["--n", "-2", "--d", "5"],
             ["--n", "8", "--d", "5", "--lambda", "inf"],
             ["--n", "8", "--d", "5", "--pd-margin", "inf"],
-            ["--n", "8", "--d", "5", "--sparsify-at", "nan"],
+            ["--n", "8", "--d", "5", "--keep", "nan"],
             ["--n", "8", "--d", "5", "--e", "nan"],
             ["--n", "8", "--d", "5", "--e", "-1"],
         ]),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import types
 
 import numpy as np
@@ -134,6 +135,31 @@ def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public <= set(coreglasso.__all__), public - set(coreglasso.__all__)
+
+
+@pytest.mark.parametrize("value", [
+    FeatureMatrix(np.ones((3, 4)), node_labels=("a", "b", "c")),
+    DistanceMatrix(np.ones((3, 3)) - np.eye(3)),
+    CoreScores(np.array([0.25, 0.25, 0.5]), budget=1.0),
+    Precision(2.0 * np.eye(3)),
+], ids=lambda value: type(value).__name__)
+def test_pickle_round_trip_keeps_arrays_read_only(value):
+    # grid --jobs pickles its DistanceMatrix to every worker.
+    copy = pickle.loads(pickle.dumps(value))
+    for f in dataclasses.fields(value):
+        before, after = getattr(value, f.name), getattr(copy, f.name)
+        if isinstance(before, np.ndarray):
+            np.testing.assert_array_equal(after, before)
+            assert not after.flags.writeable, f.name
+        else:
+            assert after == before, f.name
+
+
+def test_unpickling_judges_the_values_again():
+    bad = object.__new__(DistanceMatrix)
+    object.__setattr__(bad, "values", np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(InputError, match="negative entries"):
+        pickle.loads(pickle.dumps(bad))
 
 
 class TestPrecision:

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coreglasso import (
     ConfigError,
     CoreScores,
     InputError,
+    compute_weights,
     core_score_lp,
     empirical_covariance,
     max_core_mass,
@@ -12,10 +16,17 @@ from coreglasso import (
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 
+def _drawn(n, c, lam, seed):
+    """The Laplace draw of ``sample_instance`` over the pairs i < j, before
+    any entry is zeroed (e = 0)."""
+    scale = 1.0 / (lam * compute_weights(c)[np.triu_indices(n, k=1)])
+    return np.random.default_rng(seed).laplace(loc=0.0, scale=scale)
+
+
 class TestSampleInstance:
     def test_huge_lambda_gives_near_diagonal(self):
         c = CoreScores(np.zeros(6), budget=0.0)
-        inst = sample_instance(6, 50, c, lam=1e6, sparsify_at=0.0,
+        inst = sample_instance(6, 50, c, lam=1e6, keep=1.0,
                                pd_margin=0.1, seed=0)
         theta = inst.theta_true.values
         off = ~np.eye(6, dtype=bool)
@@ -28,7 +39,7 @@ class TestSampleInstance:
         c = planted_scores(n, core_frac=0.25, core_value=0.49)
         mags_core, mags_per = [], []
         for seed in range(40):
-            inst = sample_instance(n, 1, c, lam=10.0, sparsify_at=0.0,
+            inst = sample_instance(n, 1, c, lam=10.0, keep=1.0,
                                    seed=seed)
             t = np.abs(inst.theta_true.values)
             mags_core.append(t[:4, :4][np.triu_indices(4, 1)].mean())
@@ -55,7 +66,7 @@ class TestSampleInstance:
         w01 = 1.0 - 0.3 - 0.1
         draws = np.empty(10_000)
         for seed in range(draws.size):
-            inst = sample_instance(3, 1, c, lam=lam, sparsify_at=0.0,
+            inst = sample_instance(3, 1, c, lam=lam, keep=1.0,
                                    seed=seed)
             draws[seed] = abs(inst.theta_true.values[0, 1])
         expected = 1.0 / (lam * w01)
@@ -76,9 +87,34 @@ class TestSampleInstance:
         inst = sample_instance(10, 1, c, lam=50.0, seed=3)
         off = inst.theta_true.values[np.triu_indices(10, 1)]
         assert np.any(off == 0.0)
-        dense = sample_instance(10, 1, c, lam=50.0, sparsify_at=0.0, seed=3)
+        dense = sample_instance(10, 1, c, lam=50.0, keep=1.0, seed=3)
         off_dense = dense.theta_true.values[np.triu_indices(10, 1)]
         assert np.all(off_dense != 0.0)
+
+    @pytest.mark.parametrize("n, seed", [(14, 0), (7, 1)])
+    def test_default_keep_zeroes_below_the_30th_percentile(self, n, seed):
+        # The draws before keep= zeroed below np.percentile(..., 30.0); at
+        # these sizes 100 * (1 - 0.7), which is not 30.0, moves the support.
+        c = planted_scores(n)
+        offd = _drawn(n, c, 100.0, seed)
+        offd[np.abs(offd) < np.percentile(np.abs(offd), 30.0)] = 0.0
+        inst = sample_instance(n, 5, c, lam=100.0, seed=seed)
+        np.testing.assert_array_equal(inst.theta_true.values[np.triu_indices(n, k=1)], offd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.integers(2, 40),
+           st.integers(0, 2 ** 31 - 1))
+    def test_keep_is_the_kept_fraction(self, keep, n, seed):
+        inst = sample_instance(n, 1, planted_scores(n), lam=100.0, keep=keep, seed=seed)
+        kept = np.count_nonzero(inst.theta_true.values[np.triu_indices(n, k=1)])
+        # |kept - keep * m| < 1, written so a subnormal keep cannot round it away.
+        assert kept - 1 < keep * (n * (n - 1) // 2) < kept + 1
+
+    def test_keep_one_keeps_every_drawn_entry(self):
+        c = planted_scores(9)
+        inst = sample_instance(9, 1, c, lam=100.0, keep=1.0, seed=5)
+        np.testing.assert_array_equal(inst.theta_true.values[np.triu_indices(9, k=1)],
+                                      _drawn(9, c, 100.0, 5))
 
     def test_validation(self):
         c = planted_scores(6)
@@ -99,7 +135,8 @@ class TestSampleInstance:
                 call()
         with pytest.raises(ConfigError, match="lam must be finite and positive"):
             sample_instance(6, 10, c, lam=np.inf)
-        for kwargs in ({"pd_margin": np.inf}, {"sparsify_at": np.inf}, {"sparsify_at": -0.5}):
+        for kwargs in ({"pd_margin": np.inf}, {"keep": 0.0}, {"keep": -0.5}, {"keep": 1.5},
+                       {"keep": np.inf}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 sample_instance(6, 10, c, lam=10.0, **kwargs)
         for e in (-1.0, np.nan):
