@@ -17,7 +17,7 @@ from .model import _check_adjacency, _check_setting
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaselineScores:
     """Baseline output: scaled scores plus the raw pre-scaling values.
 

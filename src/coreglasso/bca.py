@@ -39,7 +39,7 @@ from .model import (
 __all__ = ["FitResult", "fit", "fit_graph_given_scores"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Joint solution with the half-step objective trace.
 

@@ -34,7 +34,7 @@ __all__ = ["LpResult", "core_score_lp", "scores_from_graph", "max_core_mass"]
 LP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpResult:
     """Vertex-optimal core scores with an optimality certificate.
 

@@ -34,7 +34,7 @@ from .model import (Hyperparams, Precision, _check_setting, _check_square_symmet
 __all__ = ["GlassoResult", "weighted_glasso", "kkt_residual", "support"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlassoResult:
     """Converged (or capped) solution of the weighted graphical lasso.
 

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedGraph:
     """A matrix reordered by descending core score, with the permutation."""
 

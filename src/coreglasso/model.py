@@ -6,6 +6,8 @@ scores (optionally together with spatial distances) set a per-edge l1
 penalty weight ``w_ij = 1 - c_i - c_j + e*log(d_ij)``.  This module holds
 the value types, the empirical covariance, the penalty-weight
 construction, and the joint MAP objective that the block solver ascends.
+The package's value and result types compare and hash by identity;
+``Hyperparams``, which holds only scalars, compares by value.
 """
 
 import numpy as np
@@ -77,7 +79,7 @@ def _check_adjacency(A) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix(_Judged):
     """Node attributes: N rows (nodes) by d columns (i.i.d. samples)."""
 
@@ -112,7 +114,7 @@ class FeatureMatrix(_Judged):
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix(_Judged):
     """Pairwise spatial distances; the diagonal is ignored by all consumers."""
 
@@ -126,7 +128,7 @@ class DistanceMatrix(_Judged):
         object.__setattr__(self, "values", _frozen(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreScores(_Judged):
     """Per-node core scores in [0, 1] summing to the mass budget."""
 
@@ -157,7 +159,7 @@ class CoreScores(_Judged):
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Precision(_Judged):
     """Symmetric positive-definite precision matrix; its one Cholesky factor
     gives ``inverse`` (exactly symmetric, read-only) and ``logdet``."""
@@ -178,10 +180,6 @@ class Precision(_Judged):
         object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "inverse", _frozen(0.5 * (inv + inv.T)))
         object.__setattr__(self, "logdet", 2.0 * float(np.log(np.diag(factor[0])).sum()))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
 
 
 def _check_setting(value, name: str, rule: str) -> None:

@@ -27,7 +27,7 @@ from .errors import NumericalError
 __all__ = ["SimplexResult", "simplex_solve"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexResult:
     status: str  # "optimal" | "infeasible"
     x: np.ndarray | None

@@ -35,7 +35,7 @@ from .model import (
 __all__ = ["SyntheticInstance", "sample_instance", "sample_coordinates", "planted_scores"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticInstance:
     """Planted ground truth plus data sampled from it."""
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from coreglasso import (
     ConfigError,
@@ -18,6 +19,7 @@ from coreglasso import (
     joint_objective,
     kkt_residual,
     support,
+    support_recovery,
     weighted_glasso,
 )
 from coreglasso import bca
@@ -205,7 +207,7 @@ class TestFit:
     def test_metadata_of_result(self, instance20):
         res = fit(instance20.X, hyper=Hyperparams(lam=0.05))
         assert abs(res.c.values.sum() - 20 / 8) <= 1e-8
-        assert res.theta.n_nodes == 20
+        assert res.theta.values.shape == (20, 20)
 
 
     def test_capped_graph_step_is_not_converged(self):
@@ -359,3 +361,46 @@ class TestProfile:
         slack = PROFILE_TOL * sum(np.abs(p.theta.values).sum() for p in ends + [mid])
         slack += 1e-12 * (1 + abs(mid.objective))
         assert mid.objective <= (ends[0].objective + ends[1].objective) / 2 + slack
+
+
+def _unit_variance_instance(seed):
+    """(theta, X) with 10% of the drawn entries kept, rescaled to unit
+    variances (theta -> D theta D, D = diag(theta^-1)^1/2): the support is
+    kept and marginal variance no longer ranks the core."""
+    planted = sample_instance(60, 1200, planted_scores(60), lam=100.0, keep=0.1,
+                              seed=seed).theta_true
+    d = np.sqrt(np.diag(planted.inverse))
+    theta = d[:, None] * planted.values * d[None, :]
+    z = np.random.default_rng(seed).standard_normal((60, 1200))
+    x = np.linalg.cholesky(np.linalg.inv(theta)) @ z
+    return theta, x
+
+
+def _edge_auc(truth, estimate):
+    """Probability that a true edge ranks above a non-edge by |estimate|
+    (Mann-Whitney, ties counted half), over pairs i < j."""
+    iu = np.triu_indices(truth.shape[0], k=1)
+    edge = truth[iu] != 0
+    ranks = rankdata(np.abs(estimate[iu]))
+    n_edge, n_other = edge.sum(), (~edge).sum()
+    return (ranks[edge].sum() - n_edge * (n_edge + 1) / 2) / (n_edge * n_other)
+
+
+class TestQuality:
+    # The fit must beat the trivial estimators on instances that can tell
+    # them apart.  Measured on seeds 0-2: support F1 0.55-0.67 against the
+    # complete graph's 0.18, and edge AUC 0.89-0.92 against |S^-1|'s
+    # 0.80-0.84.  The bounds keep most of the smallest margins (0.36, 0.07).
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def instance(self, request):
+        return _unit_variance_instance(request.param)
+
+    def test_support_beats_the_complete_graph(self, instance):
+        theta, x = instance
+        f1 = support_recovery(theta, fit(x, hyper=Hyperparams(lam=0.1)).theta.values)[2]
+        assert f1 >= support_recovery(theta, np.ones_like(theta))[2] + 0.3
+
+    def test_edge_ranking_beats_the_inverse_covariance(self, instance):
+        theta, x = instance
+        auc = _edge_auc(theta, fit(x, hyper=Hyperparams(lam=0.05)).theta.values)
+        assert auc >= _edge_auc(theta, np.linalg.inv(empirical_covariance(x))) + 0.05

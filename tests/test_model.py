@@ -25,6 +25,7 @@ from coreglasso import (
     joint_objective,
 )
 from coreglasso.model import EPS_W, pair_bounds, resolve_budget
+from coreglasso.simplex import simplex_solve
 
 from conftest import rand_pd
 
@@ -160,6 +161,35 @@ def test_unpickling_judges_the_values_again():
     object.__setattr__(bad, "values", np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(InputError, match="negative entries"):
         pickle.loads(pickle.dumps(bad))
+
+
+_GRAPH4 = np.ones((4, 4)) - np.eye(4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FeatureMatrix(np.ones((3, 4))),
+    lambda: DistanceMatrix(_GRAPH4),
+    lambda: coreglasso.planted_scores(8),
+    lambda: Precision(np.eye(3)),
+    lambda: coreglasso.weighted_glasso(np.eye(3), np.ones((3, 3)), 0.1),
+    lambda: coreglasso.fit(np.random.default_rng(0).standard_normal((6, 40)),
+                           hyper=Hyperparams(lam=0.1)),
+    lambda: coreglasso.scores_from_graph(_GRAPH4),
+    lambda: simplex_solve(np.array([1.0, -1.0]), a_eq=np.ones((1, 2)), b_eq=np.ones(1)),
+    lambda: coreglasso.sample_instance(8, 20, coreglasso.planted_scores(8), lam=10.0),
+    lambda: coreglasso.kcore_scores(_GRAPH4),
+    lambda: coreglasso.order_by_scores(np.eye(3), np.array([0.1, 0.2, 0.3])),
+], ids=["FeatureMatrix", "DistanceMatrix", "CoreScores", "Precision", "GlassoResult",
+        "FitResult", "LpResult", "SimplexResult", "SyntheticInstance", "BaselineScores",
+        "OrderedGraph"])
+def test_value_types_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a in [a] and {a} == {a}
+    assert hash(a) == hash(a)
+    # Two builds from equal values are two values.
+    assert a != b and b not in [a] and len({a, b}) == 2
+    # Hyperparams holds only scalars and compares by value.
+    assert Hyperparams(lam=0.1) == Hyperparams(lam=0.1)
 
 
 class TestPrecision:
