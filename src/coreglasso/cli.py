@@ -46,6 +46,8 @@ from .model import CoreScores, DistanceMatrix, Hyperparams, _check_adjacency, _c
 from .synth import planted_scores, sample_coordinates, sample_instance
 
 OUTDIR_ENV = "COREGLASSO_OUTDIR"
+# eval --baselines names these graph baselines; all of them by default.
+_BASELINES = {"minres": minres_scores, "kcores": kcore_scores}
 _HYPER_NAMES = tuple(f.name for f in dataclasses.fields(Hyperparams))
 # The fields a single graph step (glasso) reads.
 _GRAPH_STEP_NAMES = ("lam", "e", "glasso_tol", "glasso_max_iter", "ridge")
@@ -233,12 +235,9 @@ def cmd_eval(args, out):
             raise CoreglassoError(f"--scores NAME {name!r} is repeated or a --baselines method")
         scores[name] = read_scores_json(path).values
     for method in methods:
-        if method == "minres":
-            scores["minres"] = minres_scores(truth).c
-        elif method == "kcores":
-            scores["kcores"] = kcore_scores(truth).c
-        else:
+        if method not in _BASELINES:
             raise CoreglassoError(f"unknown baseline {method!r}")
+        scores[method] = _BASELINES[method](truth).c
     if not scores:
         raise CoreglassoError("no score vectors: pass --scores or --baselines")
 
@@ -321,6 +320,13 @@ _INPUT_FLAGS = ("features", "distances", "graph", "scores", "truth", "estimate",
                 "group_a", "group_b")
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coreglasso",
@@ -331,38 +337,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _flag("--out", help=f"output directory (default ${OUTDIR_ENV})")
+    features = _flag("--features", required=True,
+                     help="features CSV: nodes on rows, samples on columns")
+    distances = _flag("--distances", help="node distances CSV; required when e > 0")
+    threshold = _flag("--threshold", type=float, default=0.0,
+                      help="an edge is a pair with |theta_ij| above it (default %(default)s)")
 
-    p = sub.add_parser("fit", help="joint graph and core-score estimation")
-    p.add_argument("--features", required=True)
-    p.add_argument("--distances")
-    p.add_argument("--out")
+    def command(name, func, help, *parents, **kwargs):
+        """Subcommand ``name``, run by ``func``; every subcommand takes --out."""
+        p = sub.add_parser(name, parents=[*parents, out], help=help, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("fit", cmd_fit, "joint graph and core-score estimation",
+                features, distances, threshold)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in meta.json only: fit is deterministic")
-    p.add_argument("--threshold", type=float, default=0.0,
-                   help="support threshold for the edge list")
     _add_hyper_flags(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("scores-from-graph", help="core scores for a known graph")
+    p = command("scores-from-graph", cmd_scores_from_graph, "core scores for a known graph",
+                distances)
     p.add_argument("--graph", required=True, help="adjacency CSV")
-    p.add_argument("--distances")
-    p.add_argument("--out")
     _add_hyper_flags(p, ("e", "M"))
-    p.set_defaults(func=cmd_scores_from_graph)
 
-    p = sub.add_parser("glasso", help="single weighted graphical lasso solve")
-    p.add_argument("--features", required=True)
+    p = command("glasso", cmd_glasso, "single weighted graphical lasso solve",
+                features, distances, threshold)
     p.add_argument("--scores", help="core scores JSON fixing the weights (default zeros)")
-    p.add_argument("--distances")
-    p.add_argument("--out")
-    p.add_argument("--threshold", type=float, default=0.0)
     _add_hyper_flags(p, _GRAPH_STEP_NAMES)
-    p.set_defaults(func=cmd_glasso)
 
-    p = sub.add_parser("sample", help="sample a planted synthetic instance")
+    p = command("sample", cmd_sample, "sample a planted synthetic instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out")
     # Library defaults, but sample_instance's lam has none; budget is --M.
     _add_flag(p, "lam", 100.0, "Laplace prior scale (default %(default)s)")
     for func, names in ((planted_scores, ("core_frac", "core_value", "budget")),
@@ -371,39 +377,29 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             _add_flag(p, "M" if name == "budget" else name, params[name].default)
     p.add_argument("--with-coordinates", action="store_true")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", help="block-model and recovery metrics")
+    p = command("eval", cmd_eval, "block-model and recovery metrics", threshold)
     p.add_argument("--truth", required=True, help="ground-truth matrix CSV")
     p.add_argument("--estimate", required=True, help="estimated precision CSV")
     p.add_argument("--scores", action="append", type=lambda item: item.partition("="),
                    help="NAME=PATH score file (repeatable)")
-    p.add_argument("--baselines", default="minres,kcores",
-                   help="comma list of graph baselines, or 'none'")
-    p.add_argument("--threshold", type=float, default=0.0)
+    p.add_argument("--baselines", default=",".join(_BASELINES),
+                   help="comma list of graph baselines, or 'none' (default %(default)s)")
     p.add_argument("--t", type=int, default=None, help="core size (default N/4)")
     p.add_argument("--binarize-estimate", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("group-compare", help="normalized mean score difference")
+    p = command("group-compare", cmd_group_compare, "normalized mean score difference")
     p.add_argument("--group-a", nargs="+", required=True)
     p.add_argument("--group-b", nargs="+", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_group_compare)
 
     # No abbreviations, or --lambda would pass for --lambdas.
-    p = sub.add_parser("grid", help="fit over a lambda (and e) grid", allow_abbrev=False)
-    p.add_argument("--features", required=True)
-    p.add_argument("--distances")
+    p = command("grid", cmd_grid, "fit over a lambda (and e) grid",
+                features, distances, threshold, allow_abbrev=False)
     p.add_argument("--lambdas", required=True, help="comma list of lambda values")
     p.add_argument("--es", default="0", help="comma list of e values (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--threshold", type=float, default=0.0)
     _add_hyper_flags(p, _GRID_HYPER_NAMES)
-    p.set_defaults(func=cmd_grid)
 
     return parser
 

@@ -3,7 +3,9 @@
 All files are UTF-8 with LF line endings and '.' decimal separators; a
 byte-order mark on an input file is skipped.
 Features are CSV with nodes on rows and samples on columns; a header row
-of sample IDs and a first column of node labels are auto-detected.
+of sample IDs and a first column of node labels are auto-detected, numeric
+labels too when the header's first cell is empty or names them (the
+layouts of pandas' ``DataFrame.to_csv``, see :func:`read_table_csv`).
 Square matrices (adjacency, distances, precision) use the same CSV
 conventions.  Scores are JSON ``{labels, values, M}``; learnt graphs are
 TSV edge lists ``(i, j, theta_ij)`` over pairs i < j; traces are CSV.
@@ -52,9 +54,12 @@ def read_table_csv(path):
     """CSV table with auto-detected header row and label column.
 
     Returns ``(values, row_labels)``, the labels None when absent.
-    Detection: a first row with any non-numeric cell (beyond a possible
-    corner cell) is a header, and is skipped; a first column with any
-    non-numeric cell is a label column.
+    Detection: a first row with any non-numeric cell beyond its first is
+    a header, and is skipped; then a first column with any non-numeric
+    cell below it is a label column.  A first row is also a header, over
+    a label column, when its first cell is empty or is the only
+    non-numeric cell of the first column: pandas writes an unnamed or a
+    named index this way (``,0,1`` or ``node,0,1`` over ``0,1.5,2.0``).
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -67,11 +72,15 @@ def read_table_csv(path):
         raise InputError(f"{path}:{lineno}: ragged row width")
 
     first = rows[0][1]
-    has_header = any(not _is_float(tok) for tok in first[1:])
-    body = rows[1:] if has_header else rows
+    has_ids = any(not _is_float(tok) for tok in first[1:])
+    # pandas' index column: an empty corner cell, or numeric sample IDs
+    # after a corner cell that is the first column's only non-numeric cell.
+    indexed = not first[0].strip() or not has_ids and not _is_float(first[0]) and all(
+        _is_float(row[0]) for _, row in rows[1:])
+    body = rows[1:] if has_ids or indexed else rows
     if not body:
         raise InputError(f"{path}:1: no data rows")
-    has_labels = any(not _is_float(row[0]) for _, row in body)
+    has_labels = indexed or any(not _is_float(row[0]) for _, row in body)
 
     row_labels = [] if has_labels else None
     data = []

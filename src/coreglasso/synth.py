@@ -1,8 +1,8 @@
 """Generative sampler for planted core-periphery instances.
 
 Draws a precision matrix whose off-diagonal entries follow the Laplace
-prior implied by planted core scores (scale ``1/(lam * w_ij)``), makes
-keeps the largest fraction ``keep`` of them in magnitude, makes it
+prior implied by planted core scores (scale ``1/(lam * w_ij)``), keeps
+the largest fraction ``keep`` of them in magnitude, makes it
 positive definite by diagonal dominance, and samples Gaussian node
 attributes from the implied covariance.  Used as the ground-truth oracle
 in recovery tests.

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -313,6 +314,7 @@ class TestEval:
              "NAME 'a' is repeated"),
             ([star, star, "--scores", f"minres={scores}"], "NAME 'minres' is repeated or a"),
             ([star, str(eye), "--scores", f"a={scores}"], "estimate is 4x4, truth is 5x5"),
+            ([star, star, "--baselines", "minres,pagerank"], "unknown baseline 'pagerank'"),
         ):
             truth, estimate, *flags = inputs
             code = main([
@@ -507,6 +509,50 @@ def test_unused_flags_rejected(tmp_path, capsys, command, flag):
         main([command, *required, *flag, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def _subparsers():
+    """The parser of each subcommand of ``build_parser()``, by name."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The option strings of each subcommand: a flag gained or lost fails here.
+_HELP = {"-h", "--help"}
+_GRAPH_STEP = {"--lambda", "--e", "--glasso-tol", "--glasso-max-iter", "--ridge"}
+_SURFACE = {
+    "fit": _HELP | _GRAPH_STEP | {"--features", "--distances", "--out", "--threshold",
+                                  "--seed", "--M", "--bca-max-iter"},
+    "scores-from-graph": _HELP | {"--graph", "--distances", "--out", "--e", "--M"},
+    "glasso": _HELP | _GRAPH_STEP | {"--features", "--distances", "--out", "--threshold",
+                                     "--scores"},
+    "sample": _HELP | {"--n", "--d", "--out", "--lambda", "--core-frac", "--core-value", "--M",
+                       "--e", "--keep", "--pd-margin", "--seed", "--with-coordinates"},
+    "eval": _HELP | {"--truth", "--estimate", "--scores", "--baselines", "--threshold", "--t",
+                     "--binarize-estimate", "--out"},
+    "group-compare": _HELP | {"--group-a", "--group-b", "--k", "--out"},
+    "grid": _HELP | {"--features", "--distances", "--out", "--threshold", "--lambdas", "--es",
+                     "--jobs", "--M", "--glasso-tol", "--bca-max-iter", "--glasso-max-iter",
+                     "--ridge"},
+}
+
+
+def test_option_strings_per_subcommand():
+    assert {
+        name: {s for action in p._actions for s in action.option_strings}
+        for name, p in _subparsers().items()
+    } == _SURFACE
+
+
+@pytest.mark.parametrize("dest", ["out", "features", "distances", "threshold"])
+def test_shared_flag_is_one_declaration(dest):
+    # A flag several subcommands take means the same, and says so, in each.
+    seen = {
+        (action.dest, action.type, action.default, action.required, action.help)
+        for p in _subparsers().values() for action in p._actions if action.dest == dest
+    }
+    assert len(seen) == 1, seen
+    assert seen.pop()[-1], f"--{dest} has no help"
 
 
 def _with(a, value, *cells):

@@ -97,6 +97,20 @@ class TestSquareAndFeatures:
         np.testing.assert_array_equal(fm.values, x)
         assert fm.node_labels == tuple(f"n{i}" for i in range(5))
 
+    @pytest.mark.parametrize("corner", ["", "node"], ids=["unnamed-index", "named-index"])
+    def test_pandas_layout(self, tmp_path, corner):
+        # DataFrame.to_csv writes integer column names over an integer index
+        # column, unnamed (an empty corner cell) or named.
+        p = tmp_path / "f.csv"
+        p.write_text(f"{corner},0,1,2\n0,1.5,2.0,0.3\n1,0.2,0.1,0.9\n")
+        fm = read_features_csv(p)
+        np.testing.assert_array_equal(fm.values, [[1.5, 2.0, 0.3], [0.2, 0.1, 0.9]])
+        assert fm.node_labels == ("0", "1")
+        p.write_text(f"{corner},0,1\n0,0.0,1.0\n1,1.0,0.0\n")
+        values, row_labels = read_square_csv(p)
+        np.testing.assert_array_equal(values, [[0, 1], [1, 0]])
+        assert row_labels == ["0", "1"]
+
 
 class TestScoresJson:
     def test_roundtrip(self, tmp_path):
