@@ -1,5 +1,14 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "CoreglassoError",
+    "InputError",
+    "ConfigError",
+    "InfeasibleError",
+    "NotPositiveDefiniteError",
+    "NumericalError",
+]
+
 
 class CoreglassoError(Exception):
     """Base class for all library errors."""

@@ -6,6 +6,13 @@ Features are CSV with nodes on rows and samples on columns; a header row
 of sample IDs and a first column of node labels are auto-detected, numeric
 labels too when the header's first cell is empty or names them (the
 layouts of pandas' ``DataFrame.to_csv``, see :func:`read_table_csv`).
+A named index over string column names (``node,s1,s2`` over ``0,1.5,2.0``)
+reads as a header over unlabelled data, so the index becomes a data
+column; ``df.rename_axis(None).to_csv(...)`` writes the empty corner cell
+(``,s1,s2``) that marks it as labels.
+Nodes are matched across files by row order; only the features and graph
+files' labels are kept (into ``scores.json``), and no reader compares the
+labels of two files.
 Square matrices (adjacency, distances, precision) use the same CSV
 conventions.  Scores are JSON ``{labels, values, M}``; learnt graphs are
 TSV edge lists ``(i, j, theta_ij)`` over pairs i < j; traces are CSV.

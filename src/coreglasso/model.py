@@ -23,10 +23,7 @@ __all__ = [
     "CoreScores",
     "Precision",
     "Hyperparams",
-    "EPS_W",
-    "resolve_budget",
     "empirical_covariance",
-    "pair_bounds",
     "compute_weights",
     "joint_objective",
 ]

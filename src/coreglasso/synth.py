@@ -19,7 +19,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .model import (
     CoreScores,
     DistanceMatrix,
@@ -53,8 +53,9 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     (:func:`~coreglasso.model.resolve_budget`: None means ``n/8``).
     """
     _check_nodes(n)
-    if not 0 <= core_frac <= 1:
-        raise InputError("core_frac must lie in [0, 1]")
+    _check_setting(core_frac, "core_frac", "nonnegative")
+    if core_frac > 1:
+        raise ConfigError(f"core_frac must be at most 1, got {core_frac}")
     m = resolve_budget(budget, n)
     n_core = int(np.floor(core_frac * n))
     c = np.zeros(n)

@@ -113,7 +113,10 @@ class TestFit:
         expected = dataclasses.asdict(Hyperparams(lam=0.1))
         assert {k: params[k] for k in expected} == expected
 
-    def test_outdir_from_environment(self, tmp_path, monkeypatch):
+    def test_outdir_from_environment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("COREGLASSO_OUTDIR", raising=False)
+        assert main(["fit", "--features", str(FIXTURE / "features.csv")]) == 1
+        assert "no output directory" in capsys.readouterr().err
         target = tmp_path / "env_out"
         monkeypatch.setenv("COREGLASSO_OUTDIR", str(target))
         code = main([
@@ -315,6 +318,8 @@ class TestEval:
             ([star, star, "--scores", f"minres={scores}"], "NAME 'minres' is repeated or a"),
             ([star, str(eye), "--scores", f"a={scores}"], "estimate is 4x4, truth is 5x5"),
             ([star, star, "--baselines", "minres,pagerank"], "unknown baseline 'pagerank'"),
+            ([star, star, "--scores", str(scores)], "--scores expects NAME=PATH"),
+            ([star, star, "--baselines", "none"], "no score vectors"),
         ):
             truth, estimate, *flags = inputs
             code = main([

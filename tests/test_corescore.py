@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from coreglasso import (
     ConfigError,
     InfeasibleError,
     InputError,
+    NumericalError,
     core_score_lp,
     max_core_mass,
     scores_from_graph,
 )
+from coreglasso import corescore
+from coreglasso.simplex import simplex_solve
 from coreglasso.synth import sample_coordinates
 
 from conftest import lp_vertex_oracle, pair_bounds
@@ -40,6 +45,24 @@ class TestTrivialCases:
         t = np.eye(5)
         res = core_score_lp(t, M=1.7)
         assert res.objective == pytest.approx(2.0 * 1.7)
+
+    @pytest.mark.parametrize("broken, change, message", [
+        (2, {"status": "infeasible"}, "tie-break LP status infeasible"),
+        (1, {"dual_gap": 1.0}, "LP relative duality gap .* above tolerance"),
+    ], ids=["tie-break-not-optimal", "gap-above-tolerance"])
+    def test_failed_certificate_is_numerical_error(self, monkeypatch, broken, change, message):
+        # Equal gains need the tie-break solve; a solve that does not end
+        # optimal, or a gap above LP_TOL, is never returned as scores.
+        calls = []
+
+        def solve(*args):
+            calls.append(simplex_solve(*args))
+            return dataclasses.replace(calls[-1], **change) if len(calls) == broken else calls[-1]
+
+        monkeypatch.setattr(corescore, "simplex_solve", solve)
+        with pytest.raises(NumericalError, match=message):
+            core_score_lp(np.eye(4), M=0.9)
+        assert len(calls) == 2
 
     def test_feasibility_invariants(self):
         t = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.1], [0.1, 0.1, 1.0]])
@@ -177,6 +200,8 @@ class TestScoresFromGraph:
     def test_rejects_negative_entries(self):
         with pytest.raises(InputError, match="adjacency must be nonnegative"):
             scores_from_graph(np.eye(3) - 1.0, M=0.5)
+        with pytest.raises(InputError, match="abs_theta must be entrywise nonnegative"):
+            core_score_lp(np.eye(3) - 1.0, M=0.5)
 
 
 class TestInfeasibility:

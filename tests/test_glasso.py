@@ -8,6 +8,7 @@ from coreglasso import (
     Hyperparams,
     InputError,
     NotPositiveDefiniteError,
+    NumericalError,
     compute_weights,
     core_score_lp,
     empirical_covariance,
@@ -17,6 +18,7 @@ from coreglasso import (
     support,
     weighted_glasso,
 )
+from coreglasso import glasso
 from coreglasso.glasso import _pair_step
 
 from conftest import rand_pd
@@ -197,6 +199,18 @@ class TestCertificate:
                               max_iter=2)
         assert not res.converged
         assert res.iterations == 2
+
+    @pytest.mark.parametrize("step, message", [
+        (None, r"no admissible step for pair \(0, 1\)"),
+        (10.0, "positive definiteness lost at sweep 1"),
+    ], ids=["no-step", "not-pd"])
+    def test_lost_invariant_is_numerical_error(self, monkeypatch, step, message):
+        # A pair step the update cannot take, or one that leaves the cone,
+        # stops the solve instead of returning a wrong theta.
+        monkeypatch.setattr(glasso, "_pair_step", lambda *args: step)
+        s = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(NumericalError, match=message):
+            weighted_glasso(s, uniform_weights(2), lam=0.01)
 
     def test_rejects_nonpositive_diagonal(self):
         s = np.array([[0.0, 0.1], [0.1, 1.0]])

@@ -62,7 +62,10 @@ class TestReadTable:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("")
-        with pytest.raises(InputError, match=r"x\.csv:1"):
+        with pytest.raises(InputError, match=r"x\.csv:1: empty file"):
+            read_table_csv(p)
+        p.write_text("a,b\n")
+        with pytest.raises(InputError, match=r"x\.csv:1: no data rows"):
             read_table_csv(p)
 
     def test_non_finite_values_left_to_the_value_types(self, tmp_path):

@@ -153,6 +153,8 @@ class TestCompareMethods:
             compare_methods(np.zeros((3, 3)), np.eye(4), {"m": np.ones(3)})
         with pytest.raises(InputError, match="5 'm' scores for 3 nodes"):
             compare_methods(np.zeros((3, 3)), np.eye(3), {"m": np.ones(5)})
+        with pytest.raises(InputError, match="no score vectors"):
+            compare_methods(np.zeros((3, 3)), np.eye(3), {})
 
     @pytest.mark.parametrize("binarize", [False, True])
     @pytest.mark.parametrize("n_methods", [1, 3])
@@ -245,6 +247,8 @@ class TestGroupCompare:
             group_compare([np.ones(3)], [np.ones(4)], k=1)
         with pytest.raises(InputError):
             group_compare([np.zeros(3)], [np.ones(3)], k=1)
+        with pytest.raises(InputError, match="group a has mismatched score lengths"):
+            group_compare([np.ones(3), np.ones(4)], [np.ones(3)], k=1)
 
     def test_k_above_n_returns_every_index(self):
         # 3 indices in rank order: the CLI reports k = len(top).

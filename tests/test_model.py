@@ -38,6 +38,11 @@ class TestTypes:
             FeatureMatrix(np.ones((3, 0)))
         with pytest.raises(InputError):
             FeatureMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for values in (np.ones(4), np.ones((2, 3, 4))):
+            with pytest.raises(InputError, match="feature matrix must be 2-D"):
+                FeatureMatrix(values)
+        with pytest.raises(InputError, match="2 node labels for 3 nodes"):
+            FeatureMatrix(np.ones((3, 4)), node_labels=("a", "b"))
 
     def test_feature_matrix_is_read_only(self):
         fm = FeatureMatrix(np.ones((3, 4)))
@@ -51,6 +56,8 @@ class TestTypes:
             CoreScores(np.array([0.5, 0.6]), budget=1.0)
         with pytest.raises(InputError):
             CoreScores(np.array([1.5, 0.0]), budget=1.5)
+        with pytest.raises(InputError, match="core scores must be a vector"):
+            CoreScores(np.full((2, 2), 0.25), budget=1.0)
         # abs(sum - nan) > tol is False, so the sum test must fail closed.
         with pytest.raises(InputError, match="budget is nan"):
             CoreScores(np.array([0.5, 0.5]), budget=float("nan"))
@@ -136,6 +143,24 @@ def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public <= set(coreglasso.__all__), public - set(coreglasso.__all__)
+
+
+def test_package_republishes_each_module_all():
+    # A module's __all__ is the one list of its public names; the package
+    # republishes those of its published modules and nothing else.
+    published = [getattr(coreglasso, name) for name in (
+        "baselines", "bca", "corescore", "errors", "glasso", "metrics", "model", "synth")]
+    names = []
+    for module in published:
+        assert "__all__" in vars(module), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+        names += module.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    assert coreglasso.__all__ == ["__version__", *names]
+    for module in published:
+        for name in module.__all__:
+            assert getattr(coreglasso, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("value", [

@@ -4,6 +4,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from coreglasso import NumericalError, simplex
 from coreglasso.simplex import simplex_solve
 
 
@@ -35,6 +36,18 @@ class TestKnownPrograms:
             b_ub=np.array([1.0, -2.0]),
         )
         assert res.status == "infeasible"
+
+    def test_other_highs_status_is_numerical_error(self, monkeypatch):
+        # HiGHS stopping at its iteration limit (status 1) is neither an
+        # optimum nor a certificate of infeasibility.
+        def limited(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.status, res.message = 1, "Iteration limit reached."
+            return res
+
+        monkeypatch.setattr(simplex, "linprog", limited)
+        with pytest.raises(NumericalError, match="HiGHS stopped with status 1"):
+            simplex_solve(np.array([-1.0, 0.5]))
 
     def test_redundant_equalities(self):
         res = simplex_solve(

@@ -139,6 +139,9 @@ class TestSampleInstance:
                        {"keep": np.inf}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 sample_instance(6, 10, c, lam=10.0, **kwargs)
+        for core_frac in (1.5, -0.1, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="^core_frac must be"):
+                planted_scores(8, core_frac=core_frac)
         for e in (-1.0, np.nan):
             with pytest.raises(ConfigError, match="e must be finite and nonnegative"):
                 sample_instance(6, 10, c, lam=10.0, e=e)
