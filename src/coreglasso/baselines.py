@@ -16,6 +16,9 @@ from .model import _check_adjacency, _check_setting
 
 __all__ = ["BaselineScores", "minres_scores", "kcore_scores", "minres_residual"]
 
+# MINRES stops after a sweep in which no coordinate moves by this much.
+_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class BaselineScores:
@@ -40,17 +43,16 @@ def minres_residual(A, c) -> float:
     return float((diff ** 2).sum())
 
 
-def minres_scores(A, tol: float = 1e-6, max_iter: int = 500) -> BaselineScores:
+def minres_scores(A, max_iter: int = 500) -> BaselineScores:
     """Rank-one fit of the adjacency by cyclic coordinate descent.
 
     Each pass exactly minimizes the residual in one coordinate,
     ``c_i <- sum_{j!=i} A_ij c_j / sum_{j!=i} c_j^2``, so the residual is
     nonincreasing across sweeps.  Stops when the largest coordinate
-    change falls below ``tol`` or at ``max_iter`` (the guard for graphs
+    change falls below 1e-6 or at ``max_iter`` (the guard for graphs
     whose infimum is only approached, e.g. stars).  Raw scores are then
     min-max scaled to [0, 1].
     """
-    _check_setting(tol, "tol", "positive")
     _check_setting(max_iter, "max_iter", "count")
     a = _check_adjacency(A)
     n = a.shape[0]
@@ -71,7 +73,7 @@ def minres_scores(A, tol: float = 1e-6, max_iter: int = 500) -> BaselineScores:
             sumsq += new * new - c[i] * c[i]
             c[i] = new
         residuals.append(minres_residual(a, c))
-        if biggest < tol:
+        if biggest < _TOL:
             break
     lo, hi = c.min(), c.max()
     if hi > lo:

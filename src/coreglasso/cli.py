@@ -131,11 +131,11 @@ def _distances(path):
 
 
 def _fit(features_path, dist, hyper, threshold):
-    """Read the features and run one fit; returns the features, the
-    ``FitResult`` and the fields a fit and a grid cell both report."""
-    features = read_features_csv(features_path)
+    """Read the features and run one fit; returns the features, their row
+    labels, the ``FitResult`` and the fields a fit and a grid cell both report."""
+    features, labels = read_features_csv(features_path)
     result = bca_fit(features, dist=dist, hyper=hyper)
-    return features, result, {
+    return features, labels, result, {
         "edges": _edge_count(result.theta, threshold),
         "converged": result.converged,
         "outer_iterations": result.outer_iterations,
@@ -149,9 +149,8 @@ def _fit(features_path, dist, hyper, threshold):
 
 
 def cmd_fit(args, out):
-    features, result, fields = _fit(args.features, _distances(args.distances),
-                                    _hyper_from_args(args), args.threshold)
-    labels = features.node_labels
+    features, labels, result, fields = _fit(args.features, _distances(args.distances),
+                                            _hyper_from_args(args), args.threshold)
     write_scores_json(out / "scores.json", result.c, labels=labels)
     write_edges_tsv(out / "edges.tsv", result.theta, threshold=args.threshold)
     write_matrix_csv(out / "theta.csv", result.theta.values)
@@ -176,7 +175,7 @@ def cmd_scores_from_graph(args, out):
 
 
 def cmd_glasso(args, out):
-    features = read_features_csv(args.features)
+    features, _ = read_features_csv(args.features)
     n = features.n_nodes
     dist = _distances(args.distances)
     if args.scores is not None:
@@ -241,11 +240,10 @@ def cmd_eval(args, out):
     if not scores:
         raise CoreglassoError("no score vectors: pass --scores or --baselines")
 
-    rows = compare_methods(
-        truth, theta_est, scores, t=args.t,
-        binarize_estimate=args.binarize_estimate, threshold=args.threshold,
-    )
-    precision, recall, f1 = support_recovery(truth, support(theta_est, args.threshold))
+    est_support = support(theta_est, args.threshold)
+    rows = compare_methods(truth, est_support if args.binarize_estimate else theta_est,
+                           scores, t=args.t)
+    precision, recall, f1 = support_recovery(truth, est_support)
 
     _write_rows(out / "table.csv", [r.values() for r in rows], header=list(rows[0]))
     table = {
@@ -276,7 +274,7 @@ def cmd_group_compare(args, out):
 
 
 def _grid_cell(payload):
-    features, _, fields = _fit(*payload)
+    features, _, _, fields = _fit(*payload)
     hyper, n = payload[2], features.n_nodes
     # The grid.csv columns, in order; **fields leaves edges where it is.
     return {

@@ -10,9 +10,10 @@ A named index over string column names (``node,s1,s2`` over ``0,1.5,2.0``)
 reads as a header over unlabelled data, so the index becomes a data
 column; ``df.rename_axis(None).to_csv(...)`` writes the empty corner cell
 (``,s1,s2``) that marks it as labels.
-Nodes are matched across files by row order; only the features and graph
-files' labels are kept (into ``scores.json``), and no reader compares the
-labels of two files.
+The features and square-matrix readers return the values and the row
+labels (None when absent); ``fit`` and ``scores-from-graph`` write the
+labels into ``scores.json``.  Nodes are matched across files by row order,
+and no reader compares the labels of two files.
 Square matrices (adjacency, distances, precision) use the same CSV
 conventions.  Scores are JSON ``{labels, values, M}``; learnt graphs are
 TSV edge lists ``(i, j, theta_ij)`` over pairs i < j; traces are CSV.
@@ -114,10 +115,11 @@ def _judge(path, rule, *args):
         raise InputError(f"{path}: {exc}") from None
 
 
-def read_features_csv(path) -> FeatureMatrix:
-    """Node-attribute matrix: N rows (nodes) by d columns (samples)."""
+def read_features_csv(path):
+    """Node-attribute matrix, N rows (nodes) by d columns (samples), and
+    its row labels (None when absent)."""
     values, row_labels = read_table_csv(path)
-    return _judge(path, FeatureMatrix, values, row_labels)
+    return _judge(path, FeatureMatrix, values), row_labels
 
 
 def read_square_csv(path, check=partial(_check_square_symmetric, name="matrix")):

@@ -13,7 +13,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import InputError
-from .glasso import support
 from .model import Precision, _check_setting, _check_square_symmetric, _scores
 
 __all__ = [
@@ -83,16 +82,15 @@ def ideal_block_distance(ordered, t: int) -> float:
 
 
 def compare_methods(A_truth, theta_est, scores_by_method: dict,
-                    t: int | None = None, binarize_estimate: bool = False,
-                    threshold: float = 0.0) -> list[dict]:
+                    t: int | None = None) -> list[dict]:
     """Block-model distances of the truth and the estimate per method.
 
     For every method the N x N ground-truth matrix and the estimated
     entry magnitudes (also N x N) are each reordered by that method's
     scores and compared against the ideal block model with core size
-    ``t`` (default ``floor(N/4)``, at least 1).  ``binarize_estimate``
-    replaces the estimate by its :func:`~coreglasso.glasso.support` at
-    ``threshold`` before measuring.  Both matrices must have one shape,
+    ``t`` (default ``floor(N/4)``, at least 1).  The estimate is measured
+    as given: pass its :func:`~coreglasso.glasso.support` to score the
+    learnt graph rather than its weights.  Both matrices must have one shape,
     and every score vector must be finite, 1-D and of length N.  Each
     matrix and each score vector is checked once.
 
@@ -104,8 +102,6 @@ def compare_methods(A_truth, theta_est, scores_by_method: dict,
     truth, est = _truth_estimate(
         A_truth, theta_est.values if isinstance(theta_est, Precision) else theta_est)
     est = np.abs(est)
-    if binarize_estimate:
-        est = support(est, threshold)
     n = truth.shape[0]
     t_core = _core_size(t, n)
 

@@ -81,7 +81,6 @@ class FeatureMatrix(_Judged):
     """Node attributes: N rows (nodes) by d columns (i.i.d. samples)."""
 
     values: np.ndarray
-    node_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -93,13 +92,6 @@ class FeatureMatrix(_Judged):
             raise InputError("empty data: need at least one sample column")
         if not np.all(np.isfinite(v)):
             raise InputError("feature matrix contains non-finite entries")
-        if self.node_labels is not None:
-            labels = tuple(str(s) for s in self.node_labels)
-            if len(labels) != n:
-                raise InputError(
-                    f"{len(labels)} node labels for {n} nodes"
-                )
-            object.__setattr__(self, "node_labels", labels)
         object.__setattr__(self, "values", _frozen(v))
 
     @property
@@ -133,11 +125,7 @@ class CoreScores(_Judged):
     budget: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise InputError("core scores must be a vector")
-        if not np.all(np.isfinite(v)):
-            raise InputError("core scores contain non-finite entries")
+        v = _scores(self.values, "core scores")
         if v.min() < -_SUM_TOL or v.max() > 1.0 + _SUM_TOL:
             raise InputError(
                 f"core scores outside [0, 1]: min {v.min()}, max {v.max()}"

@@ -121,7 +121,7 @@ class TestFit:
     def test_cap_counts_the_certifying_graph_step(self):
         # fixture30 at lam=0.05 certifies after k = 2 score steps, with a
         # zero-sweep third graph step; a cap of k stops before that step.
-        x = read_features_csv(FIXTURE30)
+        x, _ = read_features_csv(FIXTURE30)
         full = fit(x, hyper=Hyperparams(lam=0.05))
         k = full.outer_iterations
         assert full.converged and k == 2
@@ -135,7 +135,7 @@ class TestFit:
     def test_graph_iterates_are_factored_once(self, monkeypatch, cholesky_calls):
         # The cold start and each sweep's iterate are factored once; a warm
         # start, the certifying zero-sweep step included, reuses its factor.
-        x = read_features_csv(FIXTURE30)
+        x, _ = read_features_csv(FIXTURE30)
         sweeps = []
         real = bca.weighted_glasso
 

@@ -10,7 +10,14 @@ import pytest
 
 from coreglasso import Hyperparams, cli, compare_methods, support
 from coreglasso.cli import build_parser, main
-from coreglasso.io import read_scores_json, read_square_csv, write_matrix_csv, write_scores_json
+from coreglasso.io import (
+    _write_rows,
+    read_features_csv,
+    read_scores_json,
+    read_square_csv,
+    write_matrix_csv,
+    write_scores_json,
+)
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
 FIXTURE = Path(__file__).parent / "data" / "fixture30"
@@ -28,6 +35,12 @@ STAR[0, 1:] = STAR[1:, 0] = 1.0
 
 def star_csv(path):
     write_matrix_csv(path, STAR)
+    return path
+
+
+def labelled_csv(path, values):
+    """``values`` as CSV under the non-numeric row labels n0, n1, ..."""
+    _write_rows(path, ([f"n{i}", *row] for i, row in enumerate(values.tolist())))
     return path
 
 
@@ -59,6 +72,15 @@ class TestFit:
         assert meta["resolved_M"] == 30 / 8
         assert meta["converged"] is True
         assert "sha256" in meta["inputs"]["features"]
+        # The features file's row labels reach scores.json, and only there.
+        x, _ = read_features_csv(FIXTURE / "features.csv")
+        labelled = labelled_csv(tmp_path / "labelled.csv", x.values)
+        assert main([
+            "fit", "--features", str(labelled), "--lambda", "0.05", "--out", str(tmp_path / "l"),
+        ]) == 0
+        plain, named = (json.loads((d / "scores.json").read_text()) for d in (out, tmp_path / "l"))
+        assert plain["labels"] == [str(i) for i in range(30)]
+        assert named == {**plain, "labels": [f"n{i}" for i in range(30)]}
 
     def test_missing_distances_with_coupling(self, tmp_path, capsys):
         for flags, message in (
@@ -129,15 +151,19 @@ class TestFit:
 
 class TestScoresFromGraph:
     def test_star_hub_top_ranked(self, tmp_path):
-        graph = star_csv(tmp_path / "star.csv")
-        out = tmp_path / "o"
-        assert main([
-            "scores-from-graph", "--graph", str(graph), "--M", "1.0",
-            "--out", str(out),
-        ]) == 0
-        scores = read_scores_json(out / "scores.json")
-        assert np.argmax(scores.values) == 0
-        assert scores.values[0] == pytest.approx(2.996 / 3.0, abs=1e-8)
+        # The graph file's row labels, if any, reach scores.json.
+        for graph, labels in ((star_csv(tmp_path / "star.csv"), [str(i) for i in range(5)]),
+                              (labelled_csv(tmp_path / "labelled.csv", STAR),
+                               [f"n{i}" for i in range(5)])):
+            out = tmp_path / graph.stem
+            assert main([
+                "scores-from-graph", "--graph", str(graph), "--M", "1.0",
+                "--out", str(out),
+            ]) == 0
+            scores = read_scores_json(out / "scores.json")
+            assert np.argmax(scores.values) == 0
+            assert scores.values[0] == pytest.approx(2.996 / 3.0, abs=1e-8)
+            assert json.loads((out / "scores.json").read_text())["labels"] == labels
 
     def test_empty_graph_tie_break(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -283,22 +309,24 @@ class TestEval:
         assert methods == ["proposed", "minres", "kcores"]
 
     def test_default_core_size_matches_library(self, fitted, tmp_path):
-        # eval without --t uses the library's core-size rule, floor(N/4).
+        # eval without --t uses the library's core-size rule, floor(N/4);
+        # --binarize-estimate measures the estimate's support instead.
         sample_dir, fit_dir = fitted
-        out = tmp_path / "e"
-        assert main([
-            "eval", "--truth", str(sample_dir / "theta_true.csv"),
-            "--estimate", str(fit_dir / "theta.csv"),
-            "--scores", f"proposed={fit_dir / 'scores.json'}",
-            "--baselines", "none", "--out", str(out),
-        ]) == 0
-        table = json.loads((out / "table.json").read_text())
         truth = support(read_square_csv(sample_dir / "theta_true.csv")[0])
         theta, _ = read_square_csv(fit_dir / "theta.csv")
         n = truth.shape[0]
-        assert table["t"] == n // 4
         scores = {"proposed": read_scores_json(fit_dir / "scores.json").values}
-        assert table["table"] == compare_methods(truth, theta, scores, t=n // 4)
+        for flags, estimate in (([], theta), (["--binarize-estimate"], support(theta))):
+            out = tmp_path / f"e{len(flags)}"
+            assert main([
+                "eval", "--truth", str(sample_dir / "theta_true.csv"),
+                "--estimate", str(fit_dir / "theta.csv"),
+                "--scores", f"proposed={fit_dir / 'scores.json'}",
+                "--baselines", "none", *flags, "--out", str(out),
+            ]) == 0
+            table = json.loads((out / "table.json").read_text())
+            assert table["t"] == n // 4
+            assert table["table"] == compare_methods(truth, estimate, scores, t=n // 4)
 
     def test_missing_truth_file(self, tmp_path, capsys):
         star = str(star_csv(tmp_path / "star.csv"))
@@ -586,7 +614,7 @@ _FEATURES = str(FIXTURE / "features.csv")
     (_with(STAR, np.nan, (0, 1), (1, 0)), ["eval", "--truth", "{star}", "--estimate", "{bad}"],
      "matrix contains non-finite entries"),
     ('{"values": [NaN, 0.5], "M": 0.5}', ["glasso", "--features", _FEATURES, "--scores", "{bad}"],
-     "core scores contain non-finite entries"),
+     "core scores must be a finite 1-D vector, got shape (2,)"),
 ], ids=["features-nan", "distances-negative", "graph-diagonal", "graph-negative",
         "truth-asymmetric", "estimate-nan", "scores-nan"])
 def test_bad_file_contents_name_the_file(tmp_path, capsys, values, argv, message):

@@ -246,8 +246,6 @@ class TestCertificate:
             ("eps_w", lambda: max_core_mass(5, eps_w=np.nan)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=np.nan)),
             ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=-0.5)),
-            ("tol", lambda: minres_scores(adj, tol=np.nan)),
-            ("tol", lambda: minres_scores(adj, tol=-1.0)),
             ("max_iter", lambda: minres_scores(adj, max_iter=2.5)),
         ):
             with pytest.raises(ConfigError, match=f"^{name} must be (finite and|a whole number)"):

@@ -96,9 +96,9 @@ class TestSquareAndFeatures:
         x = rng.standard_normal((5, 8))
         p = tmp_path / "f.csv"
         _write_rows(p, ([f"n{i}", *row] for i, row in enumerate(x.tolist())))
-        fm = read_features_csv(p)
+        fm, labels = read_features_csv(p)
         np.testing.assert_array_equal(fm.values, x)
-        assert fm.node_labels == tuple(f"n{i}" for i in range(5))
+        assert labels == [f"n{i}" for i in range(5)]
 
     @pytest.mark.parametrize("corner", ["", "node"], ids=["unnamed-index", "named-index"])
     def test_pandas_layout(self, tmp_path, corner):
@@ -106,9 +106,9 @@ class TestSquareAndFeatures:
         # column, unnamed (an empty corner cell) or named.
         p = tmp_path / "f.csv"
         p.write_text(f"{corner},0,1,2\n0,1.5,2.0,0.3\n1,0.2,0.1,0.9\n")
-        fm = read_features_csv(p)
+        fm, labels = read_features_csv(p)
         np.testing.assert_array_equal(fm.values, [[1.5, 2.0, 0.3], [0.2, 0.1, 0.9]])
-        assert fm.node_labels == ("0", "1")
+        assert labels == ["0", "1"]
         p.write_text(f"{corner},0,1\n0,0.0,1.0\n1,1.0,0.0\n")
         values, row_labels = read_square_csv(p)
         np.testing.assert_array_equal(values, [[0, 1], [1, 0]])

@@ -135,8 +135,7 @@ class TestCompareMethods:
         scores = np.linspace(1, 0, n)
         truth = np.zeros((n, n))
         raw = compare_methods(truth, theta, {"m": scores}, t=2)
-        binary = compare_methods(truth, theta, {"m": scores}, t=2,
-                                 binarize_estimate=True)
+        binary = compare_methods(truth, support(theta), {"m": scores}, t=2)
         assert raw[0]["dist_estimate"] != binary[0]["dist_estimate"]
         assert raw[0]["dist_truth"] == binary[0]["dist_truth"]
 
@@ -164,6 +163,7 @@ class TestCompareMethods:
         truth = truth + truth.T
         theta = rng.standard_normal((n, n))
         theta = theta + theta.T
+        estimate = support(theta) if binarize else theta
         scores = {f"m{k}": rng.uniform(0, 1, n) for k in range(n_methods)}
         names = []
         rule = metrics._check_square_symmetric
@@ -173,10 +173,10 @@ class TestCompareMethods:
             return rule(values, name)
 
         monkeypatch.setattr(metrics, "_check_square_symmetric", counted)
-        rows = compare_methods(truth, theta, scores, t=t, binarize_estimate=binarize)
+        rows = compare_methods(truth, estimate, scores, t=t)
         monkeypatch.undo()
         assert names == ["truth", "estimate"]
-        est = support(np.abs(theta)) if binarize else np.abs(theta)
+        est = np.abs(estimate)
         for row, c in zip(rows, scores.values(), strict=True):
             assert row["dist_truth"] == ideal_block_distance(order_by_scores(truth, c), t)
             assert row["dist_estimate"] == ideal_block_distance(order_by_scores(est, c), t)
