@@ -28,11 +28,10 @@ from .model import (
     DistanceMatrix,
     Hyperparams,
     Precision,
-    _scores,
+    _check_scores,
     compute_weights,
     empirical_covariance,
     joint_objective,  # unused here, but perfbench/bench.py wraps bca.joint_objective
-    pair_bounds,
     resolve_budget,
 )
 
@@ -59,20 +58,6 @@ class FitResult:
     @property
     def outer_iterations(self) -> int:
         return len(self.objective_trace) // 2
-
-
-def _check_scores(c: CoreScores, n: int, dist, hyper: Hyperparams) -> None:
-    """Given scores: N of them, with every ``c_i + c_j`` within its pairwise
-    bound, so the weight floor ``eps_w`` stays inactive."""
-    cv = _scores(c, "core scores", n)
-    pair = cv[:, None] + cv[None, :]
-    limit = pair_bounds(n, dist, hyper.e)
-    if np.any(pair > limit + 1e-9):
-        i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
-        raise ConfigError(
-            f"core scores violate the pairwise bound on ({i}, {j}): "
-            f"c_i + c_j = {pair[i, j]:.6g} > {limit[i, j]:.6g}"
-        )
 
 
 def fit(X, dist: DistanceMatrix | None = None, *,
@@ -106,7 +91,7 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     if c_init is None:
         c = CoreScores(np.full(n, budget / n), budget=budget)
     else:
-        _check_scores(c_init, n, dist, hyper)
+        _check_scores(c_init, n, dist, hyper.e)
         if abs(c_init.budget - budget) > 1e-9:
             raise ConfigError(
                 f"c_init has budget {c_init.budget:.6g}, the fit has M={budget:.6g}"
@@ -168,7 +153,7 @@ def fit_graph_given_scores(X, c: CoreScores,
     bounds so the weight floor stays inactive.
     """
     s = empirical_covariance(X, hyper.ridge)
-    _check_scores(c, s.shape[0], dist, hyper)
+    _check_scores(c, s.shape[0], dist, hyper.e)
     w = compute_weights(c, dist, hyper.e)
     return weighted_glasso(
         s, w, hyper.lam, tol=hyper.glasso_tol, max_iter=hyper.glasso_max_iter

@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy import sparse
 
-from .errors import ConfigError, InfeasibleError, InputError, NumericalError
+from .errors import InfeasibleError, InputError, NumericalError
 from .model import (EPS_W, CoreScores, _check_adjacency, _check_nodes, _check_square_symmetric,
                     pair_bounds, resolve_budget)
 from .simplex import simplex_solve
@@ -97,21 +97,11 @@ def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
 
 
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
-    """Largest feasible total core mass for the pairwise-bounded polytope;
-    ``eps_w`` stays a parameter only because ``perfbench/certify.py`` binds it."""
+    """Largest feasible total core mass under the bounds of :func:`pair_bounds`,
+    from the one certified LP for every ``e``; ``eps_w`` stays a parameter
+    only because ``perfbench/certify.py`` binds it."""
     _check_nodes(n)
-    bounds = pair_bounds(n, dist, e, eps_w)
-    if np.min(bounds) < 0:
-        i, j = np.unravel_index(np.argmin(bounds), bounds.shape)
-        raise ConfigError(
-            f"pairwise bound on (c_{i}, c_{j}) is negative "
-            f"({bounds[i, j]:.6g}); no feasible core scores exist"
-        )
-    if e == 0:
-        # Uniform bound b: summing c_i + c_j <= b over all pairs gives
-        # sum(c) <= n b / 2, attained at c = b/2 (b < 2 always).
-        return n * (1.0 - eps_w) / 2.0
-    c, _ = _solve(np.ones(n), bounds, None)
+    c, _ = _solve(np.ones(n), pair_bounds(n, dist, e, eps_w), None)
     return float(c.sum())
 
 

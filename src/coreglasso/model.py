@@ -190,10 +190,12 @@ def _check_nodes(n) -> None:
 
 
 def _scores(c, name: str = "scores", n: int | None = None) -> np.ndarray:
-    """The one check of a raw score vector: 1-D, finite, length ``n`` if given."""
+    """The one check of a raw score vector: 1-D, finite, non-empty, length ``n`` if given."""
     cv = c.values if isinstance(c, CoreScores) else np.asarray(c, dtype=float)
     if cv.ndim != 1 or not np.isfinite(cv).all():
         raise InputError(f"{name} must be a finite 1-D vector, got shape {cv.shape}")
+    if cv.size == 0:
+        raise InputError(f"{name} must be non-empty, got shape {cv.shape}")
     if n is not None and cv.shape[0] != n:
         raise InputError(f"{cv.shape[0]} {name} for {n} nodes")
     return cv
@@ -280,13 +282,15 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
                 eps_w: float = EPS_W) -> np.ndarray:
     """Upper bounds ``1 - eps_w + e*log(d_ij)`` on ``c_i + c_j``, as a matrix.
 
-    The one home of the distance rules: given distances must be N x N
-    whatever ``e``; ``e > 0`` requires them, strictly positive off the
-    diagonal so the log term is finite.  ``e`` must be finite and
-    nonnegative, ``eps_w`` finite and positive; raw distances are checked
-    as a :class:`DistanceMatrix`.  The diagonal is ``inf`` (no bound).
-    ``eps_w`` is a parameter only for :func:`core_score_lp` and
-    :func:`max_core_mass` to pass on, as ``perfbench/certify.py`` binds theirs.
+    The one home of the distance rules and of the bounds' sign rule: given
+    distances must be N x N whatever ``e``; ``e > 0`` requires them,
+    strictly positive off the diagonal so the log term is finite.  ``e``
+    must be finite and nonnegative, ``eps_w`` finite and positive; raw
+    distances are checked as a :class:`DistanceMatrix`.  The diagonal is
+    ``inf`` (no bound); a negative bound leaves no feasible scores and
+    raises :class:`ConfigError`.  ``eps_w`` is a parameter only for
+    :func:`core_score_lp` and :func:`max_core_mass` to pass on, as
+    ``perfbench/certify.py`` binds theirs.
     """
     _check_setting(e, "e", "nonnegative")
     _check_setting(eps_w, "eps_w", "positive")
@@ -306,7 +310,26 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
             )
         b[off] += e * np.log(dv[off])
     np.fill_diagonal(b, np.inf)
+    if b.min() < 0:
+        i, j = np.unravel_index(np.argmin(b), b.shape)
+        raise ConfigError(f"pairwise bound on (c_{i}, c_{j}) is negative ({b[i, j]:.6g}); "
+                          "no feasible core scores exist")
     return b
+
+
+def _check_scores(c, n: int, dist: DistanceMatrix | None = None, e: float = 0.0) -> None:
+    """The one membership test of the pairwise rules: N scores with every
+    ``c_i + c_j`` within its :func:`pair_bounds` bound, so the weight floor
+    ``EPS_W`` stays inactive; :class:`ConfigError` names the worst pair."""
+    cv = _scores(c, "core scores", n)
+    pair = cv[:, None] + cv[None, :]
+    limit = pair_bounds(n, dist, e)
+    if np.any(pair > limit + 1e-9):
+        i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
+        raise ConfigError(
+            f"core scores violate the pairwise bound on ({i}, {j}): "
+            f"c_i + c_j = {pair[i, j]:.6g} > {limit[i, j]:.6g}"
+        )
 
 
 def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0) -> np.ndarray:

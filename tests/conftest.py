@@ -1,5 +1,5 @@
-"""Shared test helpers: random PD matrices, an independent LP oracle and a
-Cholesky factorization counter."""
+"""Shared test helpers: random PD matrices, an independent vertex enumeration
+and LP oracle, and a Cholesky factorization counter."""
 
 import itertools
 
@@ -24,15 +24,16 @@ def pair_bounds(n, dmat, e, eps_w):
     return b
 
 
-def lp_vertex_oracle(gains, bounds, mass, tol=1e-9):
-    """Brute-force LP optimum by enumerating basic feasible solutions.
+def lp_vertices(bounds, mass, tol=1e-9):
+    """Every basic feasible solution of the score polytope, by enumeration.
 
     Builds every vertex candidate from subsets of the active-constraint
     pool (budget equality plus n-1 rows drawn from the box and pairwise
-    bounds), keeps the feasible ones, and returns (best value, argmax),
-    or (-inf, None) when the polytope is empty.
+    bounds) and returns the feasible ones as the rows of an array, in
+    enumeration order and with repeats (a degenerate vertex comes from
+    several subsets); the array has no rows when the polytope is empty.
     """
-    n = gains.shape[0]
+    n = bounds.shape[0]
     cands = []
     for i in range(n):
         row = np.zeros(n)
@@ -57,10 +58,10 @@ def lp_vertex_oracle(gains, bounds, mass, tol=1e-9):
             rhs[k, r + 1] = cands[idx][1]
     keep = np.abs(np.linalg.det(mats)) > 1e-9
     if not keep.any():
-        return -np.inf, None
+        return np.empty((0, n))
     solutions = np.linalg.solve(mats[keep], rhs[keep][..., None])[..., 0]
 
-    best, best_x = -np.inf, None
+    feasible = []
     for x in solutions:
         if x.min() < -tol or x.max() > 1.0 + tol:
             continue
@@ -69,6 +70,15 @@ def lp_vertex_oracle(gains, bounds, mass, tol=1e-9):
         sums = x[:, None] + x[None, :]
         if np.any(sums > bounds + tol):
             continue
+        feasible.append(x)
+    return np.array(feasible).reshape(-1, n)
+
+
+def lp_vertex_oracle(gains, bounds, mass, tol=1e-9):
+    """Brute-force LP optimum over the vertices of :func:`lp_vertices`:
+    (best value, first argmax), or (-inf, None) when the polytope is empty."""
+    best, best_x = -np.inf, None
+    for x in lp_vertices(bounds, mass, tol):
         value = float(gains @ x)
         if value > best:
             best, best_x = value, x

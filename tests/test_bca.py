@@ -1,3 +1,4 @@
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from coreglasso.io import read_features_csv
 from coreglasso.model import EPS_W, resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
-from conftest import rand_pd
+from conftest import lp_vertices, pair_bounds, rand_pd
 
 FIXTURE30 = Path(__file__).parent / "data" / "fixture30" / "features.csv"
 
@@ -314,6 +315,17 @@ def _profile(s, c, lam):
     return weighted_glasso(s, compute_weights(c), lam, tol=PROFILE_TOL)
 
 
+# A mass at which the pairwise rows bind (at N/8 every vertex is M e_i).
+VERTEX_MASS = 1.5
+
+
+@cache
+def _vertices(n):
+    """The distinct vertices of the e = 0 score polytope at ``VERTEX_MASS``."""
+    found = lp_vertices(pair_bounds(n, None, 0.0, EPS_W), VERTEX_MASS)
+    return np.unique(np.round(found, 12), axis=0)
+
+
 class TestProfile:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(4, 10), st.floats(0.01, 0.2))
@@ -361,6 +373,31 @@ class TestProfile:
         slack = PROFILE_TOL * sum(np.abs(p.theta.values).sum() for p in ends + [mid])
         slack += 1e-12 * (1 + abs(mid.objective))
         assert mid.objective <= (ends[0].objective + ends[1].objective) / 2 + slack
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_best_vertex_bounds_the_fit(self, n, seed, lam):
+        # g is convex, so its maximum over the polytope is its best vertex
+        # (8 vertices at n=4, 45 at n=5).  No certified fit exceeds it, and a
+        # fit started there certifies with at least its g: the vertex solves
+        # the score LP of its own theta, up to LP ties of equal g.  The
+        # default start misses the best vertex in 2 of these 12 cells (n=5,
+        # seed 0: by 2.8e-5 at lam=0.05 and 2.6e-4 at lam=0.1); not gated.
+        r = np.random.default_rng(seed)
+        x = np.linalg.cholesky(rand_pd(n, r)) @ r.standard_normal((n, 20 * n))
+        hyper = Hyperparams(lam=lam, M=VERTEX_MASS)
+        s, vertices = empirical_covariance(x), _vertices(n)
+        profiles = [_profile(s, v, lam) for v in vertices]
+        k = int(np.argmax([p.objective for p in profiles]))
+        best, size = profiles[k].objective, np.abs(profiles[k].theta.values).sum()
+        default = fit(x, hyper=hyper)
+        assert default.converged
+        # PROFILE_TOL leaves each g within PROFILE_TOL * sum|theta| of its optimum.
+        assert default.objective_trace[-1] <= best + PROFILE_TOL * size + 1e-12 * (1 + abs(best))
+        started = fit(x, hyper=hyper, c_init=CoreScores(vertices[k], budget=VERTEX_MASS))
+        assert started.converged
+        assert started.objective_trace[-1] >= best - hyper.glasso_tol * size
 
 
 def _unit_variance_instance(seed):

@@ -615,8 +615,10 @@ _FEATURES = str(FIXTURE / "features.csv")
      "matrix contains non-finite entries"),
     ('{"values": [NaN, 0.5], "M": 0.5}', ["glasso", "--features", _FEATURES, "--scores", "{bad}"],
      "core scores must be a finite 1-D vector, got shape (2,)"),
+    ('{"values": [], "M": 0.0}', ["group-compare", "--group-a", "{bad}", "--group-b", "{bad}"],
+     "core scores must be non-empty, got shape (0,)"),
 ], ids=["features-nan", "distances-negative", "graph-diagonal", "graph-negative",
-        "truth-asymmetric", "estimate-nan", "scores-nan"])
+        "truth-asymmetric", "estimate-nan", "scores-nan", "scores-empty"])
 def test_bad_file_contents_name_the_file(tmp_path, capsys, values, argv, message):
     # io only parses; the value types judge each file, and the message
     # starts with the path of the file that broke the rule.

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from coreglasso import (
     ConfigError,
+    DistanceMatrix,
     InfeasibleError,
     InputError,
     NumericalError,
+    compute_weights,
     core_score_lp,
     max_core_mass,
     scores_from_graph,
 )
-from coreglasso import corescore
+from coreglasso import corescore, model
 from coreglasso.simplex import simplex_solve
 from coreglasso.synth import sample_coordinates
 
@@ -232,17 +234,26 @@ class TestInfeasibility:
             core_score_lp(star(), dist, e=0.0, M=1.0)
 
     def test_max_core_mass_closed_form(self):
-        # For e = 0 the cap is N (1 - eps_w) / 2: all scores at b/2.
-        assert max_core_mass(6) == pytest.approx(6 * 0.999 / 2)
-        assert max_core_mass(5) == pytest.approx(5 * 0.999 / 2)
+        # For e = 0 the cap is N (1 - eps_w) / 2: all scores at b/2.  The
+        # LP that computes it for every e must meet this oracle, with or
+        # without (unused) distances.
+        for n in (2, 3, 5, 6):
+            assert max_core_mass(n) == pytest.approx(n * 0.999 / 2)
+        dist = sample_coordinates(4, seed=0)[1]
+        assert max_core_mass(4, dist, e=0.0) == pytest.approx(4 * 0.999 / 2)
 
     def test_negative_pair_bound_is_config_error(self):
         # Distances small enough make the bound negative: no feasible c.
+        # pair_bounds owns the rule, so every caller raises it.
         d = np.full((3, 3), 1e-9)
         np.fill_diagonal(d, 0.0)
-        from coreglasso import DistanceMatrix
-        with pytest.raises(ConfigError, match="negative"):
-            max_core_mass(3, DistanceMatrix(d), e=0.09)
+        dist = DistanceMatrix(d)
+        for call in (lambda: max_core_mass(3, dist, e=0.09),
+                     lambda: model.pair_bounds(3, dist, 0.09),
+                     lambda: compute_weights(np.zeros(3), dist, e=0.09),
+                     lambda: core_score_lp(np.ones((3, 3)), dist, e=0.09)):
+            with pytest.raises(ConfigError, match="negative"):
+                call()
 
     def test_diagonal_gain_flag(self):
         t = np.array([[5.0, 0.2], [0.2, 0.1]])

@@ -57,6 +57,8 @@ class TestTypes:
         with pytest.raises(InputError,
                            match=r"core scores must be a finite 1-D vector, got shape \(2, 2\)"):
             CoreScores(np.full((2, 2), 0.25), budget=1.0)
+        with pytest.raises(InputError, match=r"core scores must be non-empty, got shape \(0,\)"):
+            CoreScores(np.array([]), budget=0.0)
         # abs(sum - nan) > tol is False, so the sum test must fail closed.
         with pytest.raises(InputError, match="budget is nan"):
             CoreScores(np.array([0.5, 0.5]), budget=float("nan"))
