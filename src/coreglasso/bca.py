@@ -28,7 +28,7 @@ from .model import (
     DistanceMatrix,
     Hyperparams,
     Precision,
-    _check_scores,
+    _scores,
     compute_weights,
     empirical_covariance,
     joint_objective,  # unused here, but perfbench/bench.py wraps bca.joint_objective
@@ -71,8 +71,8 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     X : FeatureMatrix or (N, d) array of node attributes.
     dist : N x N distances, required when ``hyper.e > 0``.
     hyper : solver hyperparameters (budget None resolves to N/8).
-    c_init : optional initial core scores (default: uniform M/N); they
-        must sum to the resolved budget and respect the pairwise bounds.
+    c_init : optional initial core scores (default: uniform M/N) summing to
+        the resolved budget; either start must meet the pairwise bounds.
     theta_init : optional PD warm start for the first graph step.
 
     Returns
@@ -91,7 +91,7 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     if c_init is None:
         c = CoreScores(np.full(n, budget / n), budget=budget)
     else:
-        _check_scores(c_init, n, dist, hyper.e)
+        _scores(c_init, "core scores", n)
         if abs(c_init.budget - budget) > 1e-9:
             raise ConfigError(
                 f"c_init has budget {c_init.budget:.6g}, the fit has M={budget:.6g}"
@@ -149,11 +149,11 @@ def fit_graph_given_scores(X, c: CoreScores,
     """Single graph step for fixed core scores.
 
     Convenience entry point: one weighted graphical lasso solve with the
-    weights implied by ``c``.  The scores must respect the pairwise
-    bounds so the weight floor stays inactive.
+    weights implied by ``c``, which :func:`compute_weights` checks against
+    the pairwise bounds.
     """
     s = empirical_covariance(X, hyper.ridge)
-    _check_scores(c, s.shape[0], dist, hyper.e)
+    _scores(c, "core scores", s.shape[0])
     w = compute_weights(c, dist, hyper.e)
     return weighted_glasso(
         s, w, hyper.lam, tol=hyper.glasso_tol, max_iter=hyper.glasso_max_iter

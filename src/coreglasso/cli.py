@@ -198,16 +198,18 @@ def cmd_sample(args, out):
     c_true = planted_scores(
         n, core_frac=args.core_frac, core_value=args.core_value, budget=args.M
     )
-    dist = None
+    coords = dist = None
     if args.with_coordinates or args.e > 0:
         coords, dist = sample_coordinates(n, seed=args.seed)
-        write_matrix_csv(out / "coords.csv", coords)
-        write_matrix_csv(out / "dist.csv", dist.values)
     inst = sample_instance(
         n, args.d, c_true, lam=args.lam, e=args.e, dist=dist,
         keep=args.keep, pd_margin=args.pd_margin,
         seed=args.seed,
     )
+    # Only after the sampler accepts its inputs, so a rejected run writes nothing.
+    if dist is not None:
+        write_matrix_csv(out / "coords.csv", coords)
+        write_matrix_csv(out / "dist.csv", dist.values)
     write_matrix_csv(out / "features.csv", inst.X.values)
     write_matrix_csv(out / "theta_true.csv", inst.theta_true.values)
     write_scores_json(out / "c_true.json", c_true)

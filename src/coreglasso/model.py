@@ -317,32 +317,23 @@ def pair_bounds(n: int, dist: DistanceMatrix | None = None, e: float = 0.0,
     return b
 
 
-def _check_scores(c, n: int, dist: DistanceMatrix | None = None, e: float = 0.0) -> None:
-    """The one membership test of the pairwise rules: N scores with every
-    ``c_i + c_j`` within its :func:`pair_bounds` bound, so the weight floor
-    ``EPS_W`` stays inactive; :class:`ConfigError` names the worst pair."""
-    cv = _scores(c, "core scores", n)
-    pair = cv[:, None] + cv[None, :]
-    limit = pair_bounds(n, dist, e)
-    if np.any(pair > limit + 1e-9):
-        i, j = np.unravel_index(np.argmax(pair - limit), pair.shape)
-        raise ConfigError(
-            f"core scores violate the pairwise bound on ({i}, {j}): "
-            f"c_i + c_j = {pair[i, j]:.6g} > {limit[i, j]:.6g}"
-        )
-
-
 def compute_weights(c, dist: DistanceMatrix | None = None, e: float = 0.0) -> np.ndarray:
-    """Per-edge penalty weights ``max(EPS_W, 1 - c_i - c_j + e*log(d_ij))``.
+    """Per-edge penalty weights ``1 - c_i - c_j + e*log(d_ij)``: the slack of
+    the :func:`pair_bounds` bound plus ``EPS_W``, exactly symmetric, zero diagonal.
 
-    The weight is the slack of the pairwise bound of :func:`pair_bounds`
-    plus ``EPS_W``, so the result meets the one weight rule of
-    :func:`_graph_problem` with every off-diagonal weight at least ``EPS_W``:
-    exactly symmetric (the average with its transpose), zero diagonal.  Raw
-    scores are checked as :class:`CoreScores` whose budget is their sum.
+    The one membership test of the bounds: scores more than 1e-9 past one
+    raise :class:`ConfigError` naming the worst pair; a smaller excess is
+    roundoff, snapped to ``EPS_W``.  Raw scores are checked as :class:`CoreScores`.
     """
     cv = (c if isinstance(c, CoreScores) else CoreScores(c, budget=np.sum(c))).values
-    raw = pair_bounds(cv.shape[0], dist, e) + EPS_W - cv[:, None] - cv[None, :]
+    bounds = pair_bounds(cv.shape[0], dist, e)
+    raw = bounds + EPS_W - cv[:, None] - cv[None, :]
+    if raw.min() < EPS_W - 1e-9:
+        i, j = np.unravel_index(np.argmin(raw), raw.shape)
+        raise ConfigError(
+            f"core scores violate the pairwise bound on ({i}, {j}): "
+            f"c_i + c_j = {cv[i] + cv[j]:.6g} > {bounds[i, j]:.6g}"
+        )
     w = np.maximum(EPS_W, raw)
     np.fill_diagonal(w, 0.0)
     return 0.5 * (w + w.T)

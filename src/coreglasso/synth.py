@@ -12,7 +12,8 @@ explicit seed; the draw order (Laplace upper triangle, then the normal
 block) is part of the determinism contract and must not change.
 
 Node counts must be whole numbers >= 2, and planted scores need one value
-per node; both rules live in :mod:`coreglasso.model`.
+per node within their pairwise bounds (at ``e > 0`` the default core block
+usually breaks them); these rules live in :mod:`coreglasso.model`.
 """
 
 import numpy as np
@@ -53,9 +54,10 @@ def planted_scores(n: int, core_frac: float = 0.25, core_value: float = 0.49,
     (:func:`~coreglasso.model.resolve_budget`: None means ``n/8``).
     """
     _check_nodes(n)
-    _check_setting(core_frac, "core_frac", "nonnegative")
-    if core_frac > 1:
-        raise ConfigError(f"core_frac must be at most 1, got {core_frac}")
+    for name, value in (("core_frac", core_frac), ("core_value", core_value)):
+        _check_setting(value, name, "nonnegative")
+        if value > 1:
+            raise ConfigError(f"{name} must be at most 1, got {value}")
     m = resolve_budget(budget, n)
     n_core = int(np.floor(core_frac * n))
     c = np.zeros(n)
@@ -79,7 +81,7 @@ def sample_instance(n: int, d: int, c_true: CoreScores, lam: float,
     Parameters
     ----------
     n, d : graph size and number of attribute samples.
-    c_true : planted core scores.
+    c_true : planted core scores, within the pairwise bounds of ``e, dist``.
     lam : finite, positive Laplace prior scale; entry (i, j) has expected
         magnitude ``1/(lam * w_ij)``.
     e, dist : distance coupling, as in the weight construction.

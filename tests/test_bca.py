@@ -205,6 +205,21 @@ class TestFit:
         with pytest.raises(ConfigError, match="distances"):
             fit(x, hyper=Hyperparams(lam=0.1, e=0.09))
 
+    def test_default_start_must_respect_the_bounds(self, rng):
+        # Nodes 0 and 1 sit 1e-4 apart, so their bound 1 - EPS_W + 0.09 log(1e-4)
+        # = 0.17 is below 2M/N = 0.25 of the uniform start; a start that puts
+        # no mass on them still fits.
+        n = 8
+        x = rng.standard_normal((n, 200))
+        d = sample_coordinates(n, seed=0)[1].values.copy()
+        d[0, 1] = d[1, 0] = 1e-4
+        hyper = Hyperparams(lam=0.1, e=0.09)
+        with pytest.raises(ConfigError, match=r"pairwise bound on \(0, 1\)"):
+            fit(x, d, hyper=hyper)
+        c = np.r_[0.0, 0.0, np.full(n - 2, 1.0 / (n - 2))]
+        res = fit(x, d, hyper=hyper, c_init=CoreScores(c, budget=1.0))
+        assert res.converged
+
     def test_metadata_of_result(self, instance20):
         res = fit(instance20.X, hyper=Hyperparams(lam=0.05))
         assert abs(res.c.values.sum() - 20 / 8) <= 1e-8

@@ -267,6 +267,16 @@ class TestSample:
         assert (out / "dist.csv").exists()
         assert (out / "coords.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "6", "--d", "4", "--with-coordinates", "--keep", "1.5"],
+        ["--n", "60", "--d", "50", "--e", "0.09"],
+    ], ids=["keep", "bound"])
+    def test_rejected_run_writes_nothing(self, tmp_path, flags):
+        # Coordinates are written only once the sampler accepts its inputs.
+        out = tmp_path / "o"
+        assert main(["sample", *flags, "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
 
 class TestEval:
     @pytest.fixture

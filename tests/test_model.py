@@ -297,8 +297,12 @@ class TestComputeWeights:
         assert w[0, 1] == pytest.approx(0.3)
 
     def test_floor_active(self):
-        w = compute_weights(np.array([0.5, 0.5]))
-        assert w[0, 1] == 1e-3
+        # c_0 + c_1 = 1 > 1 - EPS_W breaks the pair's bound; an excess of
+        # 5e-10 is roundoff and snaps to the floor.
+        with pytest.raises(ConfigError, match=r"pairwise bound on \(0, 1\)"):
+            compute_weights(np.array([0.5, 0.5]))
+        w = compute_weights(np.array([0.5, 0.5 - EPS_W + 5e-10]))
+        assert w[0, 1] == EPS_W
 
     def test_unit_distance_log_vanishes(self):
         dist = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -347,8 +351,13 @@ class TestComputeWeights:
                 return
             dist = DistanceMatrix(d)
             e = 0.09
-        w = compute_weights(c, dist, e=e)
         off = ~np.eye(n, dtype=bool)
+        excess = (c[:, None] + c[None, :] - pair_bounds(n, dist, e))[off].max()
+        if excess > 1e-9:
+            with pytest.raises(ConfigError, match="violate the pairwise bound"):
+                compute_weights(c, dist, e=e)
+            return
+        w = compute_weights(c, dist, e=e)
         assert np.array_equal(w, w.T)
         assert w[off].min() >= 1e-3
         assert np.all(np.diag(w) == 0.0)
@@ -399,6 +408,12 @@ class TestJointObjective:
         h = Hyperparams(lam=0.1)
         with pytest.raises(NotPositiveDefiniteError):
             joint_objective(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2), np.eye(2), h)
+
+    def test_rejects_scores_outside_the_bounds(self):
+        # The weights are undefined where c_i + c_j passes its bound.
+        h = Hyperparams(lam=0.1)
+        with pytest.raises(ConfigError, match=r"pairwise bound on \(1, 2\)"):
+            joint_objective(np.eye(3), np.array([0.0, 0.6, 0.6]), np.eye(3), h)
 
     def test_permutation_invariance(self, rng):
         n = 5

@@ -139,9 +139,14 @@ class TestSampleInstance:
                        {"keep": np.inf}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 sample_instance(6, 10, c, lam=10.0, **kwargs)
-        for core_frac in (1.5, -0.1, np.inf, np.nan):
-            with pytest.raises(ConfigError, match="^core_frac must be"):
-                planted_scores(8, core_frac=core_frac)
+        for name in ("core_frac", "core_value"):
+            for value in (1.5, -0.1, np.inf, np.nan):
+                with pytest.raises(ConfigError, match=f"^{name} must be"):
+                    planted_scores(8, **{name: value})
+        # The default core block breaks its bounds on unit-square distances at e > 0.
+        with pytest.raises(ConfigError, match="violate the pairwise bound"):
+            sample_instance(60, 10, planted_scores(60), lam=10.0, e=0.09,
+                            dist=sample_coordinates(60, seed=0)[1])
         for e in (-1.0, np.nan):
             with pytest.raises(ConfigError, match="e must be finite and nonnegative"):
                 sample_instance(6, 10, c, lam=10.0, e=e)
