@@ -32,6 +32,7 @@ from .model import (
     compute_weights,
     empirical_covariance,
     joint_objective,  # unused here, but perfbench/bench.py wraps bca.joint_objective
+    pair_bounds,
     resolve_budget,
 )
 
@@ -71,8 +72,9 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     X : FeatureMatrix or (N, d) array of node attributes.
     dist : N x N distances, required when ``hyper.e > 0``.
     hyper : solver hyperparameters (budget None resolves to N/8).
-    c_init : optional initial core scores (default: uniform M/N) summing to
-        the resolved budget; either start must meet the pairwise bounds.
+    c_init : optional initial core scores summing to the resolved budget,
+        judged by :func:`compute_weights` alone (default: uniform M/N,
+        water-filled under half of each node's tightest pairwise bound).
     theta_init : optional PD warm start for the first graph step.
 
     Returns
@@ -84,12 +86,8 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     s = empirical_covariance(X, hyper.ridge)
     n = s.shape[0]
     budget = resolve_budget(hyper.M, n)
-    cap = max_core_mass(n, dist, hyper.e)
-    if budget > cap + 1e-9:
-        raise _infeasible_budget(budget, cap)
-
     if c_init is None:
-        c = CoreScores(np.full(n, budget / n), budget=budget)
+        c = _start(n, dist, hyper.e, budget)
     else:
         _scores(c_init, "core scores", n)
         if abs(c_init.budget - budget) > 1e-9:
@@ -141,6 +139,23 @@ def fit(X, dist: DistanceMatrix | None = None, *,
         objective_trace=tuple(trace),
         converged=converged,
     )
+
+
+def _start(n: int, dist, e: float, budget: float) -> CoreScores:
+    """Uniform ``M/N`` water-filled under the caps ``h_i = min(1, min_j b_ij / 2)``
+    of the :func:`pair_bounds` ``b``, so ``c_i + c_j <= h_i + h_j <= b_ij``; it is
+    ``M/N`` bit for bit where ``M/N <= min h``.  Only ``sum(h) < M`` runs the LP."""
+    h = np.minimum(1.0, pair_bounds(n, dist, e).min(axis=1) / 2)
+    hs = np.sort(h)
+    levels = (budget - np.r_[0.0, np.cumsum(hs[:-1])]) / np.arange(n, 0, -1)
+    fits = np.flatnonzero(levels <= hs)
+    if fits.size:
+        return CoreScores(np.minimum(h, levels[fits[0]]), budget=budget)
+    cap = max_core_mass(n, dist, e)
+    if budget > cap + 1e-9:
+        raise _infeasible_budget(budget, cap)
+    raise ConfigError(f"core budget M={budget:.6g} exceeds {h.sum():.6g}, the mass the default "
+                      "start holds under half the pairwise bounds; pass a c_init")
 
 
 def fit_graph_given_scores(X, c: CoreScores,

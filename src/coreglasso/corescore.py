@@ -21,6 +21,7 @@ solve's dual bound, relative to ``max|g| * M``, to ``LP_TOL``.
 import numpy as np
 
 from dataclasses import dataclass
+from functools import lru_cache
 from scipy import sparse
 
 from .errors import InfeasibleError, InputError, NumericalError
@@ -49,6 +50,21 @@ class LpResult:
     iterations: int
 
 
+@lru_cache(maxsize=4)
+def _pair_rows(n: int):
+    """``(iu, ju, rows)``: the pairs i < j and the read-only CSR matrix of the
+    N(N-1)/2 pairwise rows ``c_i + c_j``, built once per node count."""
+    iu, ju = np.triu_indices(n, k=1)
+    m = iu.size
+    rows = sparse.csr_matrix(
+        (np.ones(2 * m), np.column_stack([iu, ju]).ravel(), np.arange(0, 2 * m + 1, 2)),
+        shape=(m, n),
+    )
+    for a in (iu, ju, rows.data, rows.indices, rows.indptr):
+        a.setflags(write=False)
+    return iu, ju, rows
+
+
 def _solve(gains, bounds, mass):
     """Maximize ``gains @ c`` over the full program; returns (c, iterations).
 
@@ -57,12 +73,7 @@ def _solve(gains, bounds, mass):
     :class:`NumericalError` when the certified relative gap exceeds ``LP_TOL``.
     """
     n = gains.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    m = iu.size
-    rows = sparse.csr_matrix(
-        (np.ones(2 * m), np.column_stack([iu, ju]).ravel(), np.arange(0, 2 * m + 1, 2)),
-        shape=(m, n),
-    )
+    iu, ju, rows = _pair_rows(n)
     b_rows = bounds[iu, ju]
     a_eq = None if mass is None else np.ones((1, n))
     b_eq = None if mass is None else np.array([mass])
@@ -142,11 +153,9 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
     except InfeasibleError:
         raise _infeasible_budget(M, max_core_mass(n, dist, e, eps_w)) from None
 
-    iu = np.triu_indices(n, k=1)
-    tight = np.abs(c[iu[0]] + c[iu[1]] - bounds[iu]) <= 1e-7
-    active = tuple(
-        (int(i), int(j)) for i, j in zip(iu[0][tight], iu[1][tight])
-    )
+    iu, ju, _ = _pair_rows(n)
+    tight = np.abs(c[iu] + c[ju] - bounds[iu, ju]) <= 1e-7
+    active = tuple((int(i), int(j)) for i, j in zip(iu[tight], ju[tight]))
     scores = CoreScores(c, budget=M)
     return LpResult(
         c=scores,

@@ -19,6 +19,7 @@ from coreglasso import (
     fit_graph_given_scores,
     joint_objective,
     kkt_residual,
+    max_core_mass,
     support,
     support_recovery,
     weighted_glasso,
@@ -206,19 +207,22 @@ class TestFit:
             fit(x, hyper=Hyperparams(lam=0.1, e=0.09))
 
     def test_default_start_must_respect_the_bounds(self, rng):
-        # Nodes 0 and 1 sit 1e-4 apart, so their bound 1 - EPS_W + 0.09 log(1e-4)
-        # = 0.17 is below 2M/N = 0.25 of the uniform start; a start that puts
-        # no mass on them still fits.
+        # Nodes 0 and 1 sit 1e-4 apart, so their bound b_01 = 1 - EPS_W +
+        # 0.09 log(1e-4) = 0.17 is below 2M/N = 0.25 of the uniform start; the
+        # default start caps both at b_01 / 2, spreads the rest over the
+        # other six nodes, and the fit converges from it.
         n = 8
         x = rng.standard_normal((n, 200))
         d = sample_coordinates(n, seed=0)[1].values.copy()
         d[0, 1] = d[1, 0] = 1e-4
         hyper = Hyperparams(lam=0.1, e=0.09)
-        with pytest.raises(ConfigError, match=r"pairwise bound on \(0, 1\)"):
-            fit(x, d, hyper=hyper)
-        c = np.r_[0.0, 0.0, np.full(n - 2, 1.0 / (n - 2))]
-        res = fit(x, d, hyper=hyper, c_init=CoreScores(c, budget=1.0))
+        b01 = 1 - EPS_W + 0.09 * np.log(1e-4)
+        start = bca._start(n, d, hyper.e, 1.0).values
+        np.testing.assert_allclose(start, np.r_[b01 / 2, b01 / 2, np.full(n - 2, (1 - b01) / (n - 2))])
+        res = fit(x, d, hyper=hyper)
         assert res.converged
+        w = compute_weights(res.c, d, hyper.e)
+        assert kkt_residual(res.theta, empirical_covariance(x), w, hyper.lam) <= hyper.glasso_tol
 
     def test_metadata_of_result(self, instance20):
         res = fit(instance20.X, hyper=Hyperparams(lam=0.05))
@@ -254,6 +258,39 @@ class TestFit:
         w = compute_weights(res.c, dist, hyper.e)
         s = empirical_covariance(inst.X)
         assert kkt_residual(res.theta, s, w, lam) <= hyper.glasso_tol
+
+
+@st.composite
+def near_pair_instances(draw):
+    """``(n, dist, e, M)``: ``sample_coordinates`` distances with one pair moved
+    to 10**u, u in [-4, -1], above the 1.5e-5 where a bound turns negative."""
+    n = draw(st.integers(2, 25))
+    d = sample_coordinates(n, seed=draw(st.integers(0, 2 ** 16)))[1].values.copy()
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    d[i, j] = d[j, i] = 10.0 ** draw(st.floats(-4, -1))
+    M = n / 2 * draw(st.floats(0, 1, exclude_min=True))
+    return n, d, draw(st.sampled_from([0.0, 0.09])), M
+
+
+class TestStart:
+    @settings(max_examples=200, deadline=None)
+    @given(near_pair_instances())
+    def test_water_filled_start(self, instance):
+        # The start lies inside every pairwise bound; it is the uniform M/N
+        # exactly when that meets the half bounds h, and raises only when the
+        # half bounds cannot hold M, as InfeasibleError when no scores can.
+        n, d, e, M = instance
+        h = np.minimum(1.0, pair_bounds(n, d, e, EPS_W).min(axis=1) / 2)
+        try:
+            c = bca._start(n, d, e, M).values
+        except ConfigError as err:
+            assert h.sum() < M + 1e-12
+            assert isinstance(err, InfeasibleError) == (M > max_core_mass(n, d, e) + 1e-9)
+            return
+        compute_weights(c, d, e)
+        assert abs(c.sum() - M) <= 1e-9
+        assert c.min() >= 0 and c.max() <= 1
+        assert np.array_equal(c, np.full(n, M / n)) == (M / n <= h.min())
 
 
 class TestFitGraphGivenScores:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreglasso import Hyperparams, cli, compare_methods, support
+from coreglasso import (Hyperparams, cli, compare_methods, compute_weights, empirical_covariance,
+                        kkt_residual, support)
 from coreglasso.cli import build_parser, main
 from coreglasso.io import (
     _write_rows,
@@ -42,6 +43,18 @@ def labelled_csv(path, values):
     """``values`` as CSV under the non-numeric row labels n0, n1, ..."""
     _write_rows(path, ([f"n{i}", *row] for i, row in enumerate(values.tolist())))
     return path
+
+
+def near_pair_sample(tmp_path):
+    """An 8-node ``sample --with-coordinates`` with nodes 0 and 1 moved 1e-4
+    apart, below the 2.4e-4 at which the uniform start M/N breaks their bound
+    at e = 0.09; returns the features and the edited distances."""
+    out = tmp_path / "near"
+    assert main(["sample", "--n", "8", "--d", "200", "--with-coordinates", "--out", str(out)]) == 0
+    d = read_square_csv(out / "dist.csv")[0].copy()
+    d[0, 1] = d[1, 0] = 1e-4
+    write_matrix_csv(out / "near.csv", d)
+    return out / "features.csv", out / "near.csv"
 
 
 class TestFit:
@@ -94,6 +107,18 @@ class TestFit:
             ])
             assert code == 1
             assert message in capsys.readouterr().err
+
+    def test_near_pair_fit_starts_inside_the_bounds(self, tmp_path):
+        features, near = near_pair_sample(tmp_path)
+        out = tmp_path / "o"
+        assert main(["fit", "--features", str(features), "--distances", str(near),
+                     "--e", "0.09", "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["converged"] is True
+        theta, _ = read_square_csv(out / "theta.csv")
+        w = compute_weights(read_scores_json(out / "scores.json"), read_square_csv(near)[0], 0.09)
+        s = empirical_covariance(read_features_csv(features)[0])
+        assert kkt_residual(theta, s, w, 0.1) <= meta["parameters"]["glasso_tol"]
 
     def test_malformed_features(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -469,6 +494,13 @@ class TestGrid:
         meta = json.loads((fit_out / "meta.json").read_text())
         assert cell["edges"] == meta["edges"]
         assert cell["objective"] == pytest.approx(meta["objective"], abs=1e-12)
+
+    def test_near_pair_grid(self, tmp_path):
+        features, near = near_pair_sample(tmp_path)
+        out = tmp_path / "g"
+        assert main(["grid", "--features", str(features), "--distances", str(near),
+                     "--lambdas", "0.05,0.1", "--es", "0,0.09", "--out", str(out)]) == 0
+        assert len((out / "grid.csv").read_text().splitlines()) == 1 + 4
 
     def test_distances_read_once(self, tmp_path, monkeypatch):
         # The cells share one parsed DistanceMatrix.

@@ -336,31 +336,40 @@ class TestComputeWeights:
         with pytest.raises(ConfigError):
             compute_weights(np.zeros(3), dist, e=0.09)
 
+    @staticmethod
+    def _scores_and_bounds(n, seed, spatial):
+        """Uniform scores scaled so that no pair sum passes its bound, the
+        bounds, the distances and e."""
+        r = np.random.default_rng(seed)
+        c = r.uniform(0, 1, n)
+        dist, e = None, 0.0
+        if spatial:
+            pts = r.uniform(0, 1, (n, 2))
+            dist = DistanceMatrix(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+            e = 0.09
+        b = pair_bounds(n, dist, e)
+        return c * min(1.0, (b / (c[:, None] + c[None, :])).min()), b, dist, e
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1), st.booleans())
     def test_symmetric_and_floored(self, n, seed, spatial):
-        r = np.random.default_rng(seed)
-        c = r.uniform(0, 1, n)
-        c = np.minimum(c, 1.0)
-        dist = None
-        e = 0.0
-        if spatial:
-            pts = r.uniform(0, 1, (n, 2))
-            d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-            if d[~np.eye(n, dtype=bool)].min() <= 0:
-                return
-            dist = DistanceMatrix(d)
-            e = 0.09
-        off = ~np.eye(n, dtype=bool)
-        excess = (c[:, None] + c[None, :] - pair_bounds(n, dist, e))[off].max()
-        if excess > 1e-9:
-            with pytest.raises(ConfigError, match="violate the pairwise bound"):
-                compute_weights(c, dist, e=e)
-            return
+        c, _, dist, e = self._scores_and_bounds(n, seed, spatial)
         w = compute_weights(c, dist, e=e)
+        off = ~np.eye(n, dtype=bool)
         assert np.array_equal(w, w.T)
-        assert w[off].min() >= 1e-3
+        assert w[off].min() >= EPS_W
         assert np.all(np.diag(w) == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1), st.booleans())
+    def test_scores_past_a_bound_raise(self, n, seed, spatial):
+        # Split the tightest pair's bound plus 1e-6 evenly between its two
+        # scores, so the pair passes its bound while both stay in [0, 1].
+        c, b, dist, e = self._scores_and_bounds(n, seed, spatial)
+        i, j = np.unravel_index(np.argmin(b - c[:, None] - c[None, :]), b.shape)
+        c[[i, j]] = (b[i, j] + 1e-6) / 2
+        with pytest.raises(ConfigError, match="violate the pairwise bound"):
+            compute_weights(c, dist, e=e)
 
     def test_exactly_symmetric_where_the_formula_rounds(self):
         # 1 - c_i - c_j and 1 - c_j - c_i differ in the last bit for many
