@@ -20,7 +20,10 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .corescore import _infeasible_budget, core_score_lp, max_core_mass
+from .corescore import (
+    core_score_lp,
+    max_core_mass,  # unused here, but perfbench/bench.py wraps bca.max_core_mass
+)
 from .errors import ConfigError
 from .glasso import GlassoResult, weighted_glasso
 from .model import (
@@ -74,7 +77,8 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     hyper : solver hyperparameters (budget None resolves to N/8).
     c_init : optional initial core scores summing to the resolved budget,
         judged by :func:`compute_weights` alone (default: uniform M/N,
-        water-filled under half of each node's tightest pairwise bound).
+        water-filled under half of each node's tightest pairwise bound; where
+        those halves cannot hold M, the score LP's vertex for them as gains).
     theta_init : optional PD warm start for the first graph step.
 
     Returns
@@ -144,18 +148,15 @@ def fit(X, dist: DistanceMatrix | None = None, *,
 def _start(n: int, dist, e: float, budget: float) -> CoreScores:
     """Uniform ``M/N`` water-filled under the caps ``h_i = min(1, min_j b_ij / 2)``
     of the :func:`pair_bounds` ``b``, so ``c_i + c_j <= h_i + h_j <= b_ij``; it is
-    ``M/N`` bit for bit where ``M/N <= min h``.  Only ``sum(h) < M`` runs the LP."""
+    ``M/N`` bit for bit where ``M/N <= min h``.  Where ``sum(h) < M`` it is the score
+    LP's vertex for gains ``2h``, which raises :class:`InfeasibleError` only if no scores hold M."""
     h = np.minimum(1.0, pair_bounds(n, dist, e).min(axis=1) / 2)
     hs = np.sort(h)
     levels = (budget - np.r_[0.0, np.cumsum(hs[:-1])]) / np.arange(n, 0, -1)
     fits = np.flatnonzero(levels <= hs)
     if fits.size:
         return CoreScores(np.minimum(h, levels[fits[0]]), budget=budget)
-    cap = max_core_mass(n, dist, e)
-    if budget > cap + 1e-9:
-        raise _infeasible_budget(budget, cap)
-    raise ConfigError(f"core budget M={budget:.6g} exceeds {h.sum():.6g}, the mass the default "
-                      "start holds under half the pairwise bounds; pass a c_init")
+    return core_score_lp(np.diag(h), dist, e, budget).c
 
 
 def fit_graph_given_scores(X, c: CoreScores,

@@ -101,12 +101,6 @@ def _solve(gains, bounds, mass):
     return c, iterations
 
 
-def _infeasible_budget(M: float, cap: float) -> InfeasibleError:
-    """The one error for a budget beyond the maximum feasible core mass ``cap``."""
-    return InfeasibleError(f"core budget M={M:.6g} exceeds the maximum feasible core mass "
-                           f"{cap:.6g} under the pairwise bounds")
-
-
 def max_core_mass(n: int, dist=None, e: float = 0.0, eps_w: float = EPS_W) -> float:
     """Largest feasible total core mass under the bounds of :func:`pair_bounds`,
     from the one certified LP for every ``e``; ``eps_w`` stays a parameter
@@ -151,7 +145,9 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
     try:
         c, iterations = _solve(gains, bounds, M)
     except InfeasibleError:
-        raise _infeasible_budget(M, max_core_mass(n, dist, e, eps_w)) from None
+        cap = max_core_mass(n, dist, e, eps_w)
+        raise InfeasibleError(f"core budget M={M:.6g} exceeds the maximum feasible core mass "
+                              f"{cap:.6g} under the pairwise bounds") from None
 
     iu, ju, _ = _pair_rows(n)
     tight = np.abs(c[iu] + c[ju] - bounds[iu, ju]) <= 1e-7

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -224,6 +224,21 @@ class TestFit:
         w = compute_weights(res.c, d, hyper.e)
         assert kkt_residual(res.theta, empirical_covariance(x), w, hyper.lam) <= hyper.glasso_tol
 
+    def test_start_beyond_the_half_bounds_is_the_score_lp(self, rng):
+        # M = 2.65 exceeds the mass the half bounds of the near pair hold, yet
+        # scores of mass up to 2.699 exist: the start is the score LP's vertex
+        # for the half bounds as gains, and the fit converges from it.
+        x = rng.standard_normal((8, 200))
+        d = _near_pair8()
+        hyper = Hyperparams(lam=0.1, e=0.09, M=2.65)
+        start = bca._start(8, d, hyper.e, hyper.M)
+        compute_weights(start, d, hyper.e)
+        assert start.values.sum() == pytest.approx(2.65, abs=1e-9)
+        res = fit(x, d, hyper=hyper)
+        assert res.converged
+        w = compute_weights(res.c, d, hyper.e)
+        assert kkt_residual(res.theta, empirical_covariance(x), w, hyper.lam) <= hyper.glasso_tol
+
     def test_metadata_of_result(self, instance20):
         res = fit(instance20.X, hyper=Hyperparams(lam=0.05))
         assert abs(res.c.values.sum() - 20 / 8) <= 1e-8
@@ -260,6 +275,13 @@ class TestFit:
         assert kkt_residual(res.theta, s, w, lam) <= hyper.glasso_tol
 
 
+def _near_pair8():
+    """``sample_coordinates(8, seed=0)`` distances with nodes 0 and 1 moved 1e-4 apart."""
+    d = sample_coordinates(8, seed=0)[1].values.copy()
+    d[0, 1] = d[1, 0] = 1e-4
+    return d
+
+
 @st.composite
 def near_pair_instances(draw):
     """``(n, dist, e, M)``: ``sample_coordinates`` distances with one pair moved
@@ -275,18 +297,21 @@ def near_pair_instances(draw):
 class TestStart:
     @settings(max_examples=200, deadline=None)
     @given(near_pair_instances())
+    # The half bounds h hold less than M = 2.65 here, so every run reaches the LP.
+    @example((8, _near_pair8(), 0.09, 2.65))
     def test_water_filled_start(self, instance):
         # The start lies inside every pairwise bound; it is the uniform M/N
-        # exactly when that meets the half bounds h, and raises only when the
-        # half bounds cannot hold M, as InfeasibleError when no scores can.
+        # exactly when that meets the half bounds h, and it raises, only as
+        # InfeasibleError, exactly when no scores hold M.
         n, d, e, M = instance
         h = np.minimum(1.0, pair_bounds(n, d, e, EPS_W).min(axis=1) / 2)
+        feasible = M <= max_core_mass(n, d, e) + 1e-9
         try:
             c = bca._start(n, d, e, M).values
-        except ConfigError as err:
-            assert h.sum() < M + 1e-12
-            assert isinstance(err, InfeasibleError) == (M > max_core_mass(n, d, e) + 1e-9)
+        except InfeasibleError:
+            assert not feasible
             return
+        assert feasible
         compute_weights(c, d, e)
         assert abs(c.sum() - M) <= 1e-9
         assert c.min() >= 0 and c.max() <= 1

@@ -109,16 +109,20 @@ class TestFit:
             assert message in capsys.readouterr().err
 
     def test_near_pair_fit_starts_inside_the_bounds(self, tmp_path):
+        # At M = 2.65 half the pairwise bounds hold less than M, the bounds up
+        # to 2.699, so the default start is the score LP's vertex.
         features, near = near_pair_sample(tmp_path)
-        out = tmp_path / "o"
-        assert main(["fit", "--features", str(features), "--distances", str(near),
-                     "--e", "0.09", "--out", str(out)]) == 0
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["converged"] is True
-        theta, _ = read_square_csv(out / "theta.csv")
-        w = compute_weights(read_scores_json(out / "scores.json"), read_square_csv(near)[0], 0.09)
-        s = empirical_covariance(read_features_csv(features)[0])
-        assert kkt_residual(theta, s, w, 0.1) <= meta["parameters"]["glasso_tol"]
+        for flags in ([], ["--M", "2.65"]):
+            out = tmp_path / "_".join(["o", *flags])
+            assert main(["fit", "--features", str(features), "--distances", str(near),
+                         "--e", "0.09", *flags, "--out", str(out)]) == 0
+            meta = json.loads((out / "meta.json").read_text())
+            assert meta["converged"] is True
+            theta, _ = read_square_csv(out / "theta.csv")
+            c = read_scores_json(out / "scores.json")
+            w = compute_weights(c, read_square_csv(near)[0], 0.09)
+            s = empirical_covariance(read_features_csv(features)[0])
+            assert kkt_residual(theta, s, w, 0.1) <= meta["parameters"]["glasso_tol"]
 
     def test_malformed_features(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -497,10 +501,11 @@ class TestGrid:
 
     def test_near_pair_grid(self, tmp_path):
         features, near = near_pair_sample(tmp_path)
-        out = tmp_path / "g"
-        assert main(["grid", "--features", str(features), "--distances", str(near),
-                     "--lambdas", "0.05,0.1", "--es", "0,0.09", "--out", str(out)]) == 0
-        assert len((out / "grid.csv").read_text().splitlines()) == 1 + 4
+        for flags in ([], ["--M", "2.65"]):
+            out = tmp_path / "_".join(["g", *flags])
+            assert main(["grid", "--features", str(features), "--distances", str(near),
+                         "--lambdas", "0.05,0.1", "--es", "0,0.09", *flags, "--out", str(out)]) == 0
+            assert len((out / "grid.csv").read_text().splitlines()) == 1 + 4
 
     def test_distances_read_once(self, tmp_path, monkeypatch):
         # The cells share one parsed DistanceMatrix.
