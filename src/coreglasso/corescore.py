@@ -129,6 +129,15 @@ def core_score_lp(abs_theta, dist=None, e: float = 0.0, M: float | None = None,
     Returns
     -------
     LpResult with a feasible, vertex-optimal, deterministic ``c``.
+
+    At ``e = 0``, with ``beta = 1 - eps_w``, every vertex of the polytope,
+    and so every result (tie-break included), has at most three distinct
+    values and at most one node above ``beta/2``.  It is either
+    ``floor(2M/beta)`` nodes at ``beta/2``, one node holding the remainder
+    and zeros, or one node at ``x > beta/2``, the others at ``beta - x`` or
+    zero.  So M, not the data, sets the size of the fitted core.
+    ``tests/test_corescore.py::TestInvariants::test_at_most_three_values_at_e0``
+    carries the proof.
     """
     t = _check_square_symmetric(abs_theta, "abs_theta")
     n = t.shape[0]

@@ -71,7 +71,13 @@ def read_table_csv(path):
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+        reader = csv.reader(fh)
+        try:
+            rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}:1: empty file")
     widths = {len(row) for _, row in rows}
@@ -137,6 +143,8 @@ def read_scores_json(path) -> CoreScores:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     try:

@@ -1,10 +1,12 @@
 """Shared test helpers: random PD matrices, an independent vertex enumeration
-and LP oracle, and a Cholesky factorization counter."""
+and LP oracle, a Cholesky factorization counter, and the near-pair distances."""
 
 import itertools
 
 import numpy as np
 import pytest
+
+from coreglasso.synth import sample_coordinates
 
 
 def rand_pd(n, rng, n_samples=None, shift=0.5):
@@ -22,6 +24,14 @@ def pair_bounds(n, dmat, e, eps_w):
         b[off] += e * np.log(dmat[off])
     np.fill_diagonal(b, np.inf)
     return b
+
+
+# ``sample_coordinates(8, seed=0)`` distances (those of ``sample --n 8
+# --with-coordinates``) with nodes 0 and 1 moved 1e-4 apart, below the 2.4e-4
+# at which the uniform start M/N breaks their bound at e = 0.09.
+NEAR_PAIR8 = sample_coordinates(8, seed=0)[1].values.copy()
+NEAR_PAIR8[0, 1] = NEAR_PAIR8[1, 0] = 1e-4
+NEAR_PAIR8.setflags(write=False)
 
 
 def lp_vertices(bounds, mass, tol=1e-9):

@@ -13,6 +13,7 @@ from coreglasso import (
     Hyperparams,
     InfeasibleError,
     InputError,
+    Precision,
     compute_weights,
     empirical_covariance,
     fit,
@@ -29,9 +30,10 @@ from coreglasso.io import read_features_csv
 from coreglasso.model import EPS_W, resolve_budget
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
-from conftest import lp_vertices, pair_bounds, rand_pd
+from conftest import NEAR_PAIR8, lp_vertices, pair_bounds, rand_pd
 
 FIXTURE30 = Path(__file__).parent / "data" / "fixture30" / "features.csv"
+KARATE_EDGES = Path(__file__).parent / "data" / "karate" / "edges.csv"
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +231,7 @@ class TestFit:
         # scores of mass up to 2.699 exist: the start is the score LP's vertex
         # for the half bounds as gains, and the fit converges from it.
         x = rng.standard_normal((8, 200))
-        d = _near_pair8()
+        d = NEAR_PAIR8
         hyper = Hyperparams(lam=0.1, e=0.09, M=2.65)
         start = bca._start(8, d, hyper.e, hyper.M)
         compute_weights(start, d, hyper.e)
@@ -275,13 +277,6 @@ class TestFit:
         assert kkt_residual(res.theta, s, w, lam) <= hyper.glasso_tol
 
 
-def _near_pair8():
-    """``sample_coordinates(8, seed=0)`` distances with nodes 0 and 1 moved 1e-4 apart."""
-    d = sample_coordinates(8, seed=0)[1].values.copy()
-    d[0, 1] = d[1, 0] = 1e-4
-    return d
-
-
 @st.composite
 def near_pair_instances(draw):
     """``(n, dist, e, M)``: ``sample_coordinates`` distances with one pair moved
@@ -298,7 +293,7 @@ class TestStart:
     @settings(max_examples=200, deadline=None)
     @given(near_pair_instances())
     # The half bounds h hold less than M = 2.65 here, so every run reaches the LP.
-    @example((8, _near_pair8(), 0.09, 2.65))
+    @example((8, NEAR_PAIR8, 0.09, 2.65))
     def test_water_filled_start(self, instance):
         # The start lies inside every pairwise bound; it is the uniform M/N
         # exactly when that meets the half bounds h, and it raises, only as
@@ -477,17 +472,34 @@ class TestProfile:
         assert started.objective_trace[-1] >= best - hyper.glasso_tol * size
 
 
-def _unit_variance_instance(seed):
-    """(theta, X) with 10% of the drawn entries kept, rescaled to unit
-    variances (theta -> D theta D, D = diag(theta^-1)^1/2): the support is
-    kept and marginal variance no longer ranks the core."""
+def _unit_variance(theta, d, rng):
+    """(theta, X): the Precision ``theta`` rescaled to unit variances
+    (theta -> D theta D, D = diag(theta^-1)^1/2) and d samples of it drawn
+    from ``rng``.  The support is kept, and marginal variance no longer
+    ranks the core."""
+    s = np.sqrt(np.diag(theta.inverse))
+    theta = s[:, None] * theta.values * s[None, :]
+    x = np.linalg.cholesky(np.linalg.inv(theta)) @ rng.standard_normal((theta.shape[0], d))
+    return theta, x
+
+
+def _planted_instance(seed):
+    """The sampler's model at N = 60 with 10% of the drawn entries kept."""
     planted = sample_instance(60, 1200, planted_scores(60), lam=100.0, keep=0.1,
                               seed=seed).theta_true
-    d = np.sqrt(np.diag(planted.inverse))
-    theta = d[:, None] * planted.values * d[None, :]
-    z = np.random.default_rng(seed).standard_normal((60, 1200))
-    x = np.linalg.cholesky(np.linalg.inv(theta)) @ z
-    return theta, x
+    return _unit_variance(planted, 1200, np.random.default_rng(seed))
+
+
+def _karate_instance(seed):
+    """Zachary's karate-club support (34 nodes, 78 edges) with Laplace(0, 1)
+    edge weights and diagonal sum_j |theta_ij| + 0.1, at d = 680."""
+    i, j = np.loadtxt(KARATE_EDGES, delimiter=",", dtype=int).T
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.laplace(size=(34, 34)), 1)
+    theta = np.zeros((34, 34))
+    theta[i, j] = theta[j, i] = w[i, j]
+    theta[np.diag_indices(34)] = np.abs(theta).sum(axis=1) + 0.1
+    return _unit_variance(Precision(theta), 680, rng)
 
 
 def _edge_auc(truth, estimate):
@@ -502,17 +514,24 @@ def _edge_auc(truth, estimate):
 
 class TestQuality:
     # The fit must beat the trivial estimators on instances that can tell
-    # them apart.  Measured on seeds 0-2: support F1 0.55-0.67 against the
-    # complete graph's 0.18, and edge AUC 0.89-0.92 against |S^-1|'s
-    # 0.80-0.84.  The bounds keep most of the smallest margins (0.36, 0.07).
+    # them apart.  Measured on planted seeds 0-2: support F1 0.55-0.67
+    # against the complete graph's 0.18, and edge AUC 0.89-0.92 against
+    # |S^-1|'s 0.80-0.84.  On karate seeds 0-2: F1 0.65-0.67 against 0.24,
+    # but AUC beat |S^-1| by only 0.01-0.06, so the AUC test stays planted.
+    # The bounds keep most of the smallest margins (0.36, 0.07).  Karate
+    # seed 3 is left out: its fits stop unconverged at a graph step's cap.
     @pytest.fixture(scope="class", params=[0, 1, 2])
     def instance(self, request):
-        return _unit_variance_instance(request.param)
+        return _planted_instance(request.param)
 
     def test_support_beats_the_complete_graph(self, instance):
         theta, x = instance
         f1 = support_recovery(theta, fit(x, hyper=Hyperparams(lam=0.1)).theta.values)[2]
         assert f1 >= support_recovery(theta, np.ones_like(theta))[2] + 0.3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_karate_support_beats_the_complete_graph(self, seed):
+        self.test_support_beats_the_complete_graph(_karate_instance(seed))
 
     def test_edge_ranking_beats_the_inverse_covariance(self, instance):
         theta, x = instance

@@ -1,15 +1,20 @@
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coreglasso
 from coreglasso import (Hyperparams, cli, compare_methods, compute_weights, empirical_covariance,
-                        kkt_residual, support)
+                        joint_objective, kkt_residual, support)
 from coreglasso.cli import build_parser, main
 from coreglasso.io import (
     _write_rows,
@@ -20,6 +25,8 @@ from coreglasso.io import (
     write_scores_json,
 )
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
+
+from conftest import NEAR_PAIR8
 
 FIXTURE = Path(__file__).parent / "data" / "fixture30"
 
@@ -46,14 +53,11 @@ def labelled_csv(path, values):
 
 
 def near_pair_sample(tmp_path):
-    """An 8-node ``sample --with-coordinates`` with nodes 0 and 1 moved 1e-4
-    apart, below the 2.4e-4 at which the uniform start M/N breaks their bound
-    at e = 0.09; returns the features and the edited distances."""
+    """The features of an 8-node ``sample --with-coordinates`` and its
+    distances edited to ``NEAR_PAIR8``, written to ``near.csv``."""
     out = tmp_path / "near"
     assert main(["sample", "--n", "8", "--d", "200", "--with-coordinates", "--out", str(out)]) == 0
-    d = read_square_csv(out / "dist.csv")[0].copy()
-    d[0, 1] = d[1, 0] = 1e-4
-    write_matrix_csv(out / "near.csv", d)
+    write_matrix_csv(out / "near.csv", NEAR_PAIR8)
     return out / "features.csv", out / "near.csv"
 
 
@@ -100,6 +104,8 @@ class TestFit:
             (["--e", "0.09"], "e > 0 requires distances"),
             # An infinite penalty would run to the outer cap and write NaN.
             (["--lambda", "inf"], "lam must be finite"),
+            # N (1 - eps_w) / 2 = 14.985 at N = 30 and e = 0.
+            (["--M", "15"], "maximum feasible core mass 14.985"),
         ):
             code = main([
                 "fit", "--features", str(FIXTURE / "features.csv"),
@@ -120,16 +126,32 @@ class TestFit:
             assert meta["converged"] is True
             theta, _ = read_square_csv(out / "theta.csv")
             c = read_scores_json(out / "scores.json")
-            w = compute_weights(c, read_square_csv(near)[0], 0.09)
-            s = empirical_covariance(read_features_csv(features)[0])
-            assert kkt_residual(theta, s, w, 0.1) <= meta["parameters"]["glasso_tol"]
+            hyper = Hyperparams(**{f.name: meta["parameters"][f.name]
+                                   for f in dataclasses.fields(Hyperparams)})
+            s = empirical_covariance(read_features_csv(features)[0], hyper.ridge)
+            w = compute_weights(c, NEAR_PAIR8, hyper.e)
+            assert kkt_residual(theta, s, w, hyper.lam) <= hyper.glasso_tol
+            # The recorded objective is the joint objective of the written
+            # theta and scores, and the trace has a graph and a scores row
+            # per outer iteration.
+            assert joint_objective(theta, c, s, hyper, NEAR_PAIR8) == pytest.approx(
+                meta["objective"], rel=1e-12, abs=0)
+            trace = [line.split(",")[:2] for line in (out / "trace.csv").read_text().splitlines()]
+            assert trace == [["outer_iter", "half_step"]] + [
+                [str(k), step] for k in range(1, meta["outer_iterations"] + 1)
+                for step in ("graph", "scores")]
 
     def test_malformed_features(self, tmp_path, capsys):
+        # A parse error names the file and its line.
         bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0\n3.0,oops\n")
-        code = main(["fit", "--features", str(bad), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "bad.csv:2" in capsys.readouterr().err
+        for text, message in (
+            ("1.0,2.0\n3.0,oops\n", "non-numeric value 'oops'"),
+            ("1.0,2.0\n" + "1" * 131073 + ",2.0\n", "field larger than field limit (131072)"),
+        ):
+            bad.write_text(text)
+            code = main(["fit", "--features", str(bad), "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
 
     def test_iteration_cap_exit_two(self, tmp_path):
         out = tmp_path / "o"
@@ -153,7 +175,8 @@ class TestFit:
             "--out", str(out),
         ])
         assert code == 2
-        assert json.loads((out / "meta.json").read_text())["converged"] is False
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["converged"] is False and meta["outer_iterations"] == 1
 
     def test_default_flags_are_hyperparams_defaults(self, tmp_path):
         out = tmp_path / "o"
@@ -227,7 +250,9 @@ class TestGlasso:
         theta, _ = read_square_csv(out / "theta.csv")
         assert theta.shape == (30, 30)
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["kkt_residual"] <= 1e-5
+        assert meta["converged"] is True and meta["kkt_residual"] <= 1e-5
+        s = empirical_covariance(read_features_csv(FIXTURE / "features.csv")[0])
+        assert kkt_residual(theta, s, compute_weights(np.zeros(30)), 0.1) <= 1e-5
         # Only the fields the graph step reads, plus the edge threshold.
         assert set(meta["parameters"]) == {
             "lam", "e", "glasso_tol", "glasso_max_iter", "ridge", "threshold",
@@ -287,6 +312,13 @@ class TestSample:
             assert getattr(args, name) == params[name].default, name
         assert args.M is params["budget"].default
 
+    def test_keep_sets_the_true_edge_count(self, tmp_path):
+        # At N = 40, --keep 0.1 keeps 78 of the 780 drawn pairs.
+        out = tmp_path / "o"
+        assert main(["sample", "--n", "40", "--d", "200", "--seed", "2", "--keep", "0.1",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["true_edges"] == 78
+
     def test_coordinates_written_when_coupled(self, tmp_path):
         out = tmp_path / "o"
         assert main([
@@ -296,14 +328,16 @@ class TestSample:
         assert (out / "dist.csv").exists()
         assert (out / "coords.csv").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--n", "6", "--d", "4", "--with-coordinates", "--keep", "1.5"],
-        ["--n", "60", "--d", "50", "--e", "0.09"],
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "6", "--d", "4", "--with-coordinates", "--keep", "1.5"],
+         "keep must be at most 1"),
+        (["--n", "60", "--d", "50", "--e", "0.09"], "violate the pairwise bound"),
     ], ids=["keep", "bound"])
-    def test_rejected_run_writes_nothing(self, tmp_path, flags):
+    def test_rejected_run_writes_nothing(self, tmp_path, capsys, flags, message):
         # Coordinates are written only once the sampler accepts its inputs.
         out = tmp_path / "o"
         assert main(["sample", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 
@@ -429,6 +463,8 @@ class TestGroupCompare:
         ])
         assert code == 0
         assert "clamping" in capsys.readouterr().err
+        top = json.loads((tmp_path / "o" / "top.json").read_text())
+        assert top["k"] == 2 and sorted(top["top_k"]) == [0, 1]
 
     def test_single_file_groups(self, tmp_path):
         a = self.write_scores(tmp_path / "a.json", [0.2, 0.2, 0.6])
@@ -540,6 +576,13 @@ class TestGrid:
         assert main(base + ["--out", str(serial)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert (serial / "grid.csv").read_bytes() == (parallel / "grid.csv").read_bytes()
+        if with_distances:
+            # Cells run over lambda within e, on the one distances file checksummed.
+            meta = json.loads((parallel / "meta.json").read_text())
+            assert [(c["lambda"], c["e"]) for c in meta["cells"]] == [
+                (0.05, 0.0), (0.1, 0.0), (0.05, 0.09), (0.1, 0.09)]
+            assert meta["inputs"]["distances"]["sha256"] == hashlib.sha256(
+                dist.read_bytes()).hexdigest()
 
     def test_jobs_capped_at_cell_count(self, tmp_path, monkeypatch):
         # A process pool starts all its workers at once, so it gets at most
@@ -660,26 +703,46 @@ _FEATURES = str(FIXTURE / "features.csv")
      "matrix must be symmetric"),
     (_with(STAR, np.nan, (0, 1), (1, 0)), ["eval", "--truth", "{star}", "--estimate", "{bad}"],
      "matrix contains non-finite entries"),
-    ('{"values": [NaN, 0.5], "M": 0.5}', ["glasso", "--features", _FEATURES, "--scores", "{bad}"],
+    (b'{"values": [NaN, 0.5], "M": 0.5}', ["glasso", "--features", _FEATURES, "--scores", "{bad}"],
      "core scores must be a finite 1-D vector, got shape (2,)"),
-    ('{"values": [], "M": 0.0}', ["group-compare", "--group-a", "{bad}", "--group-b", "{bad}"],
+    (b'{"values": [], "M": 0.0}', ["group-compare", "--group-a", "{bad}", "--group-b", "{bad}"],
      "core scores must be non-empty, got shape (0,)"),
+    # A UTF-16 byte-order mark, and a Latin-1 label.
+    (b"\xff\xfe1,2\n", ["fit", "--features", "{bad}"], "not UTF-8 text (invalid start byte)"),
+    (b'{"labels": ["\xe9"], "values": [1.0], "M": 1.0}',
+     ["group-compare", "--group-a", "{bad}", "--group-b", "{bad}"],
+     "not UTF-8 text (invalid continuation byte)"),
 ], ids=["features-nan", "distances-negative", "graph-diagonal", "graph-negative",
-        "truth-asymmetric", "estimate-nan", "scores-nan", "scores-empty"])
+        "truth-asymmetric", "estimate-nan", "scores-nan", "scores-empty", "features-not-utf8",
+        "scores-not-utf8"])
 def test_bad_file_contents_name_the_file(tmp_path, capsys, values, argv, message):
     # io only parses; the value types judge each file, and the message
     # starts with the path of the file that broke the rule.
-    if isinstance(values, str):
-        bad = tmp_path / "bad.json"
-        bad.write_text(values)
+    bad = tmp_path / "bad"
+    if isinstance(values, bytes):
+        bad.write_bytes(values)
     else:
-        bad = tmp_path / "bad.csv"
         write_matrix_csv(bad, values)
     star = star_csv(tmp_path / "star.csv")
     argv = [arg.format(bad=bad, star=star) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "o" / "meta.json").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # ``python -m coreglasso.cli`` ends the process with main's code: 0 done,
+    # 1 a rejected input, 2 a run stopped at a solver cap.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(coreglasso.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    for flags, code in ((["--features", _FEATURES], 0),
+                        (["--features", str(tmp_path / "nope.csv")], 1),
+                        (["--features", _FEATURES, "--glasso-max-iter", "1"], 2)):
+        run = subprocess.run([sys.executable, "-m", "coreglasso.cli", "fit", *flags,
+                              "--out", str(tmp_path / str(code))], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == code, run.stderr
+        assert (tmp_path / str(code) / "meta.json").exists() == (code != 1)
 
 
 def _contract_runs(tmp_path):

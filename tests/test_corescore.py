@@ -166,6 +166,42 @@ class TestInvariants:
         np.testing.assert_allclose(scaled.c.values, base.c.values, atol=1e-10)
         assert scaled.objective == pytest.approx(alpha * base.objective, rel=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 30), kind=st.sampled_from(["gaussian", "adjacency", "rounded"]),
+           u=st.floats(1e-6, 1), seed=st.integers(0, 2**16))
+    def test_at_most_three_values_at_e0(self, n, kind, u, seed):
+        """At e = 0 the scores take at most three values, and at most one
+        node is above beta/2, beta = 1 - eps_w, for any gains and budget.
+
+        The polytope is sum(c) = M, c_i >= 0 and c_i + c_j <= beta; beta < 1,
+        so no c_i <= 1 is tight.  Two nodes above beta/2 would break their
+        pair bound.  At a vertex the tight rows have rank n, so no direction
+        keeps them all tight, and at most one node is in no tight row but
+        the budget: two such nodes could trade mass.  If every node is at
+        most beta/2, a tight pair puts both its nodes at beta/2: the values
+        are 0, beta/2 and that one node's.  If node k is at x > beta/2,
+        every pair without k sums below beta, so each tight pair puts its
+        other node at beta - x.  Moving x by t and those nodes by -t keeps
+        their pairs tight, so the budget must fix x, and any other node in
+        no tight row could trade mass with that move: the values are x,
+        beta - x and 0.  The tie-break solve moves along the optimal face,
+        whose vertices are the polytope's, so its result is one too.
+        """
+        # u >= 1e-6: a budget below about 1e-14 fails the LP certificate
+        # with NumericalError, whatever the gains.
+        beta = 1.0 - model.EPS_W
+        rng = np.random.default_rng(seed)
+        if kind == "adjacency":
+            a = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+        else:
+            a = np.abs(rng.standard_normal((n, n)))
+        t = a + a.T
+        if kind == "rounded":
+            t = np.round(t, 1)  # ties among the gains
+        c = core_score_lp(t, M=u * n * beta / 2).c.values
+        assert len(np.unique(np.round(c, 9))) <= 3, c
+        assert np.sum(c > beta / 2 + 1e-9) <= 1, c
+
 
 class TestScoresFromGraph:
     def test_star_hub_dominates(self):
