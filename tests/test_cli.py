@@ -26,7 +26,7 @@ from coreglasso.io import (
 )
 from coreglasso.synth import planted_scores, sample_coordinates, sample_instance
 
-from conftest import NEAR_PAIR8
+from conftest import NEAR_PAIR8, STAR
 
 FIXTURE = Path(__file__).parent / "data" / "fixture30"
 
@@ -35,10 +35,6 @@ def read_all_bytes(directory):
     return {
         p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
     }
-
-
-STAR = np.zeros((5, 5))
-STAR[0, 1:] = STAR[1:, 0] = 1.0
 
 
 def star_csv(path):
@@ -62,19 +58,6 @@ def near_pair_sample(tmp_path):
 
 
 class TestFit:
-    def test_fixture_fit_byte_identical(self, tmp_path):
-        args = [
-            "fit", "--features", str(FIXTURE / "features.csv"),
-            "--lambda", "0.05", "--seed", "0",
-        ]
-        assert main(args + ["--out", str(tmp_path / "a")]) == 0
-        assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        a = read_all_bytes(tmp_path / "a")
-        b = read_all_bytes(tmp_path / "b")
-        assert a.keys() == b.keys()
-        for name in a:
-            assert a[name] == b[name], f"{name} differs between runs"
-
     def test_outputs_complete(self, tmp_path):
         out = tmp_path / "o"
         code = main([

@@ -21,14 +21,7 @@ from coreglasso import corescore, model
 from coreglasso.simplex import simplex_solve
 from coreglasso.synth import sample_coordinates
 
-from conftest import lp_vertex_oracle, pair_bounds
-
-
-def star(n_leaves=4):
-    a = np.zeros((n_leaves + 1, n_leaves + 1))
-    a[0, 1:] = 1.0
-    a[1:, 0] = 1.0
-    return a
+from conftest import STAR, lp_vertex_oracle, pair_bounds
 
 
 class TestTrivialCases:
@@ -97,32 +90,6 @@ class TestFrozenThreeNode:
         assert res.objective == pytest.approx(self.FROZEN_OBJECTIVE, abs=1e-8)
         np.testing.assert_allclose(res.c.values, self.FROZEN_C, atol=1e-8)
         assert set(res.active_constraints) == {(0, 1), (0, 2)}
-
-
-class TestOracleEquivalence:
-    def test_random_instances_match_vertex_enumeration(self, rng):
-        for trial in range(40):
-            n = int(rng.integers(2, 7))
-            t = np.abs(rng.standard_normal((n, n)))
-            t = 0.5 * (t + t.T)
-            e = float(rng.choice([0.0, 0.09]))
-            dist = None
-            dmat = None
-            if e > 0:
-                _, dist = sample_coordinates(n, seed=trial)
-                dmat = dist.values
-            mass = float(rng.choice([n / 8, n / 4]))
-            bounds = pair_bounds(n, dmat, e, 1e-3)
-            best, _ = lp_vertex_oracle(2.0 * t.sum(axis=1), bounds, mass)
-            try:
-                res = core_score_lp(t, dist=dist, e=e, M=mass)
-            except InfeasibleError:
-                assert best == -np.inf
-                continue
-            assert res.objective == pytest.approx(best, abs=1e-8)
-            c = res.c.values
-            assert c.min() >= -1e-9 and c.max() <= 1 + 1e-9
-            assert abs(c.sum() - mass) <= 1e-9
 
 
 class TestInvariants:
@@ -205,7 +172,7 @@ class TestInvariants:
 
 class TestScoresFromGraph:
     def test_star_hub_dominates(self):
-        res = scores_from_graph(star(), M=1.0)
+        res = scores_from_graph(STAR, M=1.0)
         c = res.c.values
         assert np.all(c[0] > c[1:])
         # Frozen from the vertex oracle: hub 2.996/3, leaves 1/3000.
@@ -213,8 +180,7 @@ class TestScoresFromGraph:
         assert res.objective == pytest.approx(7.992, abs=1e-8)
 
     def test_star_matches_oracle(self):
-        a = star()
-        best, _ = lp_vertex_oracle(2.0 * a.sum(axis=1),
+        best, _ = lp_vertex_oracle(2.0 * STAR.sum(axis=1),
                                    pair_bounds(5, None, 0.0, 1e-3), 1.0)
         assert best == pytest.approx(7.992, abs=1e-8)
 
@@ -250,10 +216,9 @@ class TestInfeasibility:
 
     def test_default_budget_is_n_over_8(self):
         # Without M both entries use the N/8 of every other entry point.
-        a = star()
-        n = a.shape[0]
+        n = STAR.shape[0]
         for call in (scores_from_graph, core_score_lp):
-            default, explicit = call(a), call(a, M=n / 8)
+            default, explicit = call(STAR), call(STAR, M=n / 8)
             np.testing.assert_array_equal(default.c.values, explicit.c.values)
             assert default.c.budget == n / 8
 
@@ -267,7 +232,7 @@ class TestInfeasibility:
         # Given distances must be N x N even when e = 0 leaves them unused.
         dist = sample_coordinates(4, seed=0)[1]
         with pytest.raises(InputError, match="distance matrix is 4x4 for 5 nodes"):
-            core_score_lp(star(), dist, e=0.0, M=1.0)
+            core_score_lp(STAR, dist, e=0.0, M=1.0)
 
     def test_max_core_mass_closed_form(self):
         # For e = 0 the cap is N (1 - eps_w) / 2: all scores at b/2.  The
