@@ -8,7 +8,9 @@ every flag but ``--out`` and the input files (``_INPUT_FLAGS``) under
 
 Exit codes: 0 success, 1 input/configuration error (no ``meta.json``),
 2 ``meta.json`` says ``"converged": false``: a solver stopped at a cap,
-with results still written.
+with results still written.  argparse also exits 2, with a usage message
+and no ``meta.json``, for a command line it cannot parse: an unknown
+flag, a missing required flag or an unparsable number.
 """
 
 import argparse

@@ -203,10 +203,15 @@ def _scores(c, name: str = "scores", n: int | None = None) -> np.ndarray:
 
 def resolve_budget(M, n_nodes: int) -> float:
     """The one core-mass budget rule: None means N/8; otherwise ``M`` must
-    be finite, positive and at most N.  Raises :class:`ConfigError`."""
+    be finite, above the floor ``_SUM_TOL`` and at most N.  All-zero scores
+    meet a budget at or below the floor within the sum tolerance of
+    :class:`CoreScores`, so such a budget constrains nothing.  Raises
+    :class:`ConfigError`."""
     if M is None:
         return n_nodes / 8.0
     _check_setting(M, "M", "positive")
+    if M <= _SUM_TOL:
+        raise ConfigError(f"core budget M={M} is at or below the floor {_SUM_TOL:g}")
     if M > n_nodes:
         raise ConfigError(
             f"core budget M={M} infeasible for {n_nodes} nodes (M <= N)"

@@ -1,13 +1,20 @@
-"""Shared test helpers: random PD matrices, an independent vertex enumeration
-and LP oracle, a Cholesky factorization counter, the near-pair distances and
-the 5-node star."""
+"""Shared test helpers: the hypothesis profile, random PD matrices, an
+independent vertex enumeration and LP oracle, a Cholesky factorization counter,
+the near-pair distances and the 5-node star."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from hypothesis import settings
+
 from coreglasso.synth import sample_coordinates
+
+# One hypothesis profile for the suite: a solve's time varies with the
+# machine, so no example has a deadline.  Each test sets its max_examples.
+settings.register_profile("coreglasso", deadline=None)
+settings.load_profile("coreglasso")
 
 
 def rand_pd(n, rng, n_samples=None, shift=0.5):

@@ -194,11 +194,6 @@ class TestFit:
             fit(x, hyper=Hyperparams(lam=0.1, M=3.0))
         assert isinstance(info.value, ConfigError)
 
-    def test_requires_distances_when_coupled(self, rng):
-        x = rng.standard_normal((6, 50))
-        with pytest.raises(ConfigError, match="distances"):
-            fit(x, hyper=Hyperparams(lam=0.1, e=0.09))
-
     def test_default_start_must_respect_the_bounds(self, rng):
         # Nodes 0 and 1 sit 1e-4 apart, so their bound b_01 = 1 - EPS_W +
         # 0.09 log(1e-4) = 0.17 is below 2M/N = 0.25 of the uniform start; the
@@ -283,7 +278,7 @@ def near_pair_instances(draw):
 
 
 class TestStart:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(near_pair_instances())
     # The half bounds h hold less than M = 2.65 here, so every run reaches the LP.
     @example((8, NEAR_PAIR8, 0.09, 2.65))
@@ -392,7 +387,7 @@ def _vertices(n):
 
 
 class TestProfile:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(4, 10), st.floats(0.01, 0.2))
     def test_score_entry_is_the_tangent_plane(self, seed, n, lam):
         # One graph step at c0 gives theta1, then the score step gives c1:
@@ -405,7 +400,7 @@ class TestProfile:
         tangent = lam * _gains(res.theta) @ (res.c.values - c0)
         assert second - first == pytest.approx(tangent, rel=0, abs=1e-12 * (1 + abs(first)))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 8), st.floats(0.01, 0.2))
     def test_envelope_gradient(self, seed, n, lam):
         # A central difference of g along a zero-sum direction v matches
@@ -425,7 +420,7 @@ class TestProfile:
         bound = lam * h + 1e-12 * (1 + abs(g.objective)) / h
         assert abs(diff - lam * _gains(g.theta) @ v) <= bound
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 8), st.floats(0.01, 0.2))
     def test_profile_is_midpoint_convex(self, seed, n, lam):
         r = np.random.default_rng(seed)

@@ -617,6 +617,22 @@ def test_unused_flags_rejected(tmp_path, capsys, command, flag):
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "the following arguments are required: --features"),
+    (["--features", str(FIXTURE / "features.csv"), "--lambda", "abc"],
+     "argument --lambda: invalid float value: 'abc'"),
+], ids=["missing-required", "unparsable-number"])
+def test_usage_error_exits_two(tmp_path, capsys, flags, message):
+    # argparse rejects the command line before any run: exit 2, a usage
+    # message and no meta.json, as for an unknown flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", *flags, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coreglasso fit") and message in err
+    assert not (tmp_path / "o").exists()
+
+
 def _subparsers():
     """The parser of each subcommand of ``build_parser()``, by name."""
     parser = build_parser()

@@ -4,17 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreglasso import (
-    ConfigError,
-    Hyperparams,
     InputError,
     NotPositiveDefiniteError,
     NumericalError,
     compute_weights,
-    core_score_lp,
-    empirical_covariance,
     kkt_residual,
-    max_core_mass,
-    minres_scores,
     support,
     weighted_glasso,
 )
@@ -111,7 +105,7 @@ class TestPairStep:
 
     # |corr| <= 0.99 keeps the pair's 2x2 block of the inverse at condition
     # number <= 199; past that, D(t) itself cannot be evaluated to 1e-8.
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-0.99, 0.99),
            st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), st.floats(-1e3, 1e3),
            st.floats(0.0, 1e3))
@@ -165,7 +159,7 @@ def random_problem(seed, n):
 
 
 class TestCertificate:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.floats(0.01, 1.0))
     def test_kkt_recomputable_and_within_tol(self, seed, n, lam):
         s, w = random_problem(seed, n)
@@ -178,7 +172,7 @@ class TestCertificate:
         # raw matrix is factored afresh, so this certificate is independent.
         assert kkt_residual(res.theta.values, s, w, lam) <= 1e-6
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.floats(0.01, 1.0))
     def test_objective_nondecreasing_per_sweep(self, seed, n, lam):
         s, w = random_problem(seed, n)
@@ -216,40 +210,6 @@ class TestCertificate:
         s = np.array([[0.0, 0.1], [0.1, 1.0]])
         with pytest.raises(InputError):
             weighted_glasso(s, uniform_weights(2), lam=0.1)
-
-    def test_rejects_bad_scalars(self):
-        # Every scalar setting is checked by one rule and named in the
-        # error.  Unchecked, lam=inf "converged" at a NaN objective,
-        # tol=nan ran to the cap, kkt_residual scored lam=nan and lam=-5,
-        # ridge=nan was dropped and ridge=inf loaded an infinite diagonal,
-        # a fractional iteration cap died in range(), a NaN or negative
-        # eps_w gave a NaN mass cap or passed unnoticed, and minres_scores
-        # ran a NaN or negative tol to its cap.
-        s, w, theta = np.eye(6), uniform_weights(6), 2.0 * np.eye(6)
-        adj = np.ones((3, 3)) - np.eye(3)
-        for name, call in (
-            ("lam", lambda: weighted_glasso(s, w, lam=np.inf)),
-            ("lam", lambda: weighted_glasso(s, w, lam=np.nan)),
-            ("lam", lambda: weighted_glasso(s, w, lam=0.0)),
-            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=np.nan)),
-            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=np.inf)),
-            ("tol", lambda: weighted_glasso(s, w, lam=0.1, tol=0.0)),
-            ("max_iter", lambda: weighted_glasso(s, w, lam=0.1, max_iter=2.5)),
-            ("max_iter", lambda: weighted_glasso(s, w, lam=0.1, max_iter=np.nan)),
-            ("lam", lambda: kkt_residual(theta, s, w, lam=np.nan)),
-            ("lam", lambda: kkt_residual(theta, s, w, lam=np.inf)),
-            ("lam", lambda: kkt_residual(theta, s, w, lam=-5.0)),
-            ("ridge", lambda: empirical_covariance(s, ridge=np.nan)),
-            ("ridge", lambda: empirical_covariance(s, ridge=np.inf)),
-            ("bca_max_iter", lambda: Hyperparams(lam=0.1, bca_max_iter=2.5)),
-            ("glasso_max_iter", lambda: Hyperparams(lam=0.1, glasso_max_iter=2.5)),
-            ("eps_w", lambda: max_core_mass(5, eps_w=np.nan)),
-            ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=np.nan)),
-            ("eps_w", lambda: core_score_lp(theta, M=1.0, eps_w=-0.5)),
-            ("max_iter", lambda: minres_scores(adj, max_iter=2.5)),
-        ):
-            with pytest.raises(ConfigError, match=f"^{name} must be (finite and|a whole number)"):
-                call()
 
     @pytest.mark.parametrize("lam", [0.01, 0.2, 1.0])
     def test_kkt_residual_entrywise_oracle(self, rng, lam):
@@ -374,11 +334,6 @@ class TestSupport:
         theta = np.eye(3)
         theta[0, 2] = theta[2, 0] = 0.3
         assert support(theta, threshold=0.5).sum() == 0
-
-    def test_rejects_negative_threshold(self):
-        for threshold in (-0.1, np.nan, np.inf):
-            with pytest.raises(ConfigError, match="threshold must be finite and nonnegative"):
-                support(np.eye(2), threshold=threshold)
 
     def test_solver_produces_exact_zeros(self, rng):
         s = rand_pd(10, rng, n_samples=30)

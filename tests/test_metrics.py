@@ -233,7 +233,7 @@ class TestGroupCompare:
         np.testing.assert_array_equal(top, [2, 1, 0])
         np.testing.assert_allclose(diff, [0.1, 0.3, 0.4])
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(2, 10), st.integers(0, 2 ** 31 - 1))
     def test_ties_break_by_index(self, n, seed):
         r = np.random.default_rng(seed)
