@@ -86,8 +86,10 @@ def _solve(gains, bounds, mass):
     c, iterations = first.x, first.pivots
     if mass is not None and not first.unique:
         # Among the optimal scores (g @ c = f*), prefer mass on low node indices.
-        second = simplex_solve(-np.arange(n, 0, -1.0), rows, b_rows, np.vstack([a_eq, g]),
-                               np.append(b_eq, -first.objective))
+        # HiGHS holds an equality row only to an absolute 1e-7, which is not
+        # small next to f* <= M at a tiny budget, so both rows are divided by M.
+        second = simplex_solve(-np.arange(n, 0, -1.0), rows, b_rows, np.vstack([a_eq, g]) / mass,
+                               np.append(b_eq, -first.objective) / mass)
         if second.status != "optimal":
             raise NumericalError(f"tie-break LP status {second.status}")
         c, iterations = second.x, iterations + second.pivots

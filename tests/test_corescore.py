@@ -20,6 +20,19 @@ from coreglasso.synth import sample_coordinates
 
 from conftest import STAR, lp_vertex_oracle, pair_bounds
 
+_KINDS = st.sampled_from(["gaussian", "adjacency", "rounded"])
+
+
+def _random_t(n, kind, seed):
+    """Symmetric gains: Gaussian, 0/1, or Gaussian rounded to 0.1 (the last two tie)."""
+    rng = np.random.default_rng(seed)
+    if kind == "adjacency":
+        a = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    else:
+        a = np.abs(rng.standard_normal((n, n)))
+    t = a + a.T
+    return np.round(t, 1) if kind == "rounded" else t
+
 
 class TestTrivialCases:
     def test_dominant_gain_takes_all_mass(self):
@@ -131,8 +144,7 @@ class TestInvariants:
         assert scaled.objective == pytest.approx(alpha * base.objective, rel=1e-10)
 
     @settings(max_examples=200)
-    @given(n=st.integers(2, 30), kind=st.sampled_from(["gaussian", "adjacency", "rounded"]),
-           u=st.floats(1e-6, 1), seed=st.integers(0, 2**16))
+    @given(n=st.integers(2, 30), kind=_KINDS, u=st.floats(1e-6, 1), seed=st.integers(0, 2**16))
     def test_at_most_three_values_at_e0(self, n, kind, u, seed):
         """At e = 0 the scores take at most three values, and at most one
         node is above beta/2, beta = 1 - eps_w, for any gains and budget.
@@ -151,19 +163,9 @@ class TestInvariants:
         beta - x and 0.  The tie-break solve moves along the optimal face,
         whose vertices are the polytope's, so its result is one too.
         """
-        # u >= 1e-6: a budget at or below the floor model._SUM_TOL is a
-        # ConfigError, and with tied gains a budget below about 2e-6 can fail
-        # the LP certificate (see TestInfeasibility's floor property).
+        # u >= 1e-6 keeps M above the budget floor model._SUM_TOL.
         beta = 1.0 - model.EPS_W
-        rng = np.random.default_rng(seed)
-        if kind == "adjacency":
-            a = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
-        else:
-            a = np.abs(rng.standard_normal((n, n)))
-        t = a + a.T
-        if kind == "rounded":
-            t = np.round(t, 1)  # ties among the gains
-        c = core_score_lp(t, M=u * n * beta / 2).c.values
+        c = core_score_lp(_random_t(n, kind, seed), M=u * n * beta / 2).c.values
         assert len(np.unique(np.round(c, 9))) <= 3, c
         assert np.sum(c > beta / 2 + 1e-9) <= 1, c
 
@@ -186,6 +188,12 @@ class TestScoresFromGraph:
         res = scores_from_graph(np.zeros((4, 4)), M=0.9)
         np.testing.assert_allclose(res.c.values, [0.9, 0.0, 0.0, 0.0])
         assert res.objective == 0.0
+
+    @pytest.mark.parametrize("M", [1.0001e-8, 1e-7, 1e-6])
+    def test_tied_gains_at_a_tiny_budget(self, M):
+        # The edge 1-2 ties nodes 1 and 2; the tie-break gives node 1 all of M.
+        a = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float)
+        np.testing.assert_array_equal(scores_from_graph(a, M=M).c.values, [0.0, M, 0.0])
 
     def test_complete_graph_deterministic(self):
         a = 1.0 - np.eye(4)
@@ -212,20 +220,16 @@ class TestInfeasibility:
         with pytest.raises(InfeasibleError, match="maximum feasible core mass"):
             core_score_lp(t, M=2.9)
 
-    @settings(max_examples=100)
-    @given(n=st.integers(2, 30), e=st.sampled_from([0.0, 0.09]), u=st.floats(0.0, 1.0),
-           seed=st.integers(0, 2**16))
-    def test_every_budget_above_the_floor_is_certified_or_infeasible(self, n, e, u, seed):
+    @settings(max_examples=150)
+    @given(n=st.integers(2, 30), e=st.sampled_from([0.0, 0.09]), kind=_KINDS,
+           u=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_every_budget_above_the_floor_is_certified_or_infeasible(self, n, e, kind, u, seed):
         # M runs log-evenly from just above the floor model._SUM_TOL up to N.
-        # The gains have no ties: a tie-break solve meets its objective row
-        # only to HiGHS's feasibility tolerance, so tied gains fail the
-        # certificate up to about M = 2e-6 (the path 1-2 on 3 nodes at 1e-7).
-        a = np.abs(np.random.default_rng(seed).standard_normal((n, n)))
         dist = sample_coordinates(n, seed=seed)[1] if e > 0 else None
         floor = model._SUM_TOL
         M = min(float(n), max(float(np.nextafter(floor, 1.0)), floor * (n / floor) ** u))
         try:
-            assert core_score_lp(a + a.T, dist, e, M=M).c.budget == M
+            assert core_score_lp(_random_t(n, kind, seed), dist, e, M=M).c.budget == M
         except InfeasibleError:
             assert M > max_core_mass(n, dist, e)
 

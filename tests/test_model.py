@@ -261,6 +261,41 @@ def test_distance_and_bound_rules(call, case):
         call(dist, e)
 
 
+# The graph-step problem (_graph_problem) checks S, W and theta together, so a
+# mismatched S raises instead of broadcasting; every W meets the one weight
+# rule, and both bca entry points share the one positive-diagonal rule.
+_FLAT_X5 = _X5 * [[1.0], [1.0], [0.0], [1.0], [1.0]]
+_ZERO_VARIANCE = ("covariance diagonal must be strictly positive: a node has "
+                  "zero sample variance; add ridge or drop the node")
+_GRAPH_ROWS = {
+    "kkt_residual-shape": (lambda: kkt_residual(2 * np.eye(3), [[1.0]], np.ones((3, 3)), 0.1),
+                           "weight matrix shape (3, 3), covariance shape (1, 1)"),
+    "joint_objective-shape": (lambda: joint_objective(np.eye(3), np.zeros(3), [[1.0]],
+        Hyperparams(lam=0.1)), "weight matrix shape (3, 3), covariance shape (1, 1)"),
+    "weighted_glasso-warm_start": (lambda: weighted_glasso(np.eye(3), np.ones((3, 3)), 0.1,
+        warm_start=2 * np.eye(2)), "theta shape (2, 2), covariance shape (3, 3)"),
+    "fit-theta_init": (lambda: fit(_X5, hyper=Hyperparams(lam=0.1), theta_init=2 * np.eye(4)),
+                       "theta shape (4, 4), covariance shape (5, 5)"),
+    "fit-zero_variance": (lambda: fit(_FLAT_X5, hyper=Hyperparams(lam=0.1)), _ZERO_VARIANCE),
+    "fit_graph_given_scores-zero_variance": (lambda: fit_graph_given_scores(_FLAT_X5,
+        CoreScores(np.full(5, 0.125), budget=0.625), hyper=Hyperparams(lam=0.1)), _ZERO_VARIANCE),
+    "weighted_glasso-negative_weight": (lambda: weighted_glasso(
+        np.eye(2), [[0.0, -0.5], [-0.5, 0.0]], 0.1), "weights must be nonnegative"),
+    "kkt_residual-asymmetric_weight": (lambda: kkt_residual(
+        np.eye(2), np.eye(2), [[0.0, 1.0], [0.5, 0.0]], 0.1), "weight matrix must be symmetric"),
+    "weighted_glasso-nan_weight": (lambda: weighted_glasso(
+        np.eye(2), [[0.0, np.nan], [np.nan, 0.0]], 0.1),
+        "weight matrix contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("call, message", _GRAPH_ROWS.values(), ids=_GRAPH_ROWS)
+def test_graph_problem_rule(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}

@@ -169,7 +169,6 @@ class TestPlantedScores:
         ({"core_frac": 0, "budget": 0}, "^M must be finite and positive, got 0$"),
     ], ids=["kwargs0", "kwargs1"])
     def test_budget_rule(self, kwargs, message):
-        # The budget above N and a zero budget; the full rule's table is in test_model.py.
         with pytest.raises(ConfigError, match=message):
             planted_scores(8, **kwargs)
 
