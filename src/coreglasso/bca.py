@@ -75,8 +75,9 @@ def fit(X, dist: DistanceMatrix | None = None, *,
     X : FeatureMatrix or (N, d) array of node attributes.
     dist : N x N distances, required when ``hyper.e > 0``.
     hyper : solver hyperparameters (budget None resolves to N/8).
-    c_init : optional initial core scores summing to the resolved budget,
-        judged by :func:`compute_weights` alone (default: uniform M/N,
+    c_init : optional initial core scores summing to the resolved budget, as
+        :class:`CoreScores` or a raw vector judged as CoreScores of that budget;
+        their bounds are judged by :func:`compute_weights` alone (default: uniform M/N,
         water-filled under half of each node's tightest pairwise bound; where
         those halves cannot hold M, the score LP's vertex for them as gains).
     theta_init : optional PD warm start for the first graph step.
@@ -94,6 +95,8 @@ def fit(X, dist: DistanceMatrix | None = None, *,
         c = _start(n, dist, hyper.e, budget)
     else:
         _scores(c_init, "core scores", n)
+        if not isinstance(c_init, CoreScores):
+            c_init = CoreScores(c_init, budget=budget)
         if abs(c_init.budget - budget) > 1e-9:
             raise ConfigError(
                 f"c_init has budget {c_init.budget:.6g}, the fit has M={budget:.6g}"

@@ -175,7 +175,10 @@ def _check_setting(value, name: str, rule: str) -> None:
         whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         ok, want = whole and value >= 1, "a whole number >= 1"
     else:
-        ok = bool(np.isfinite(value)) and (value > 0 if rule == "positive" else value >= 0)
+        try:
+            ok = bool(np.isfinite(value)) and (value > 0 if rule == "positive" else value >= 0)
+        except (TypeError, ValueError):  # not one real number: a str, None, a sequence
+            ok = False
         want = f"finite and {rule}"
     if not ok:
         raise ConfigError(f"{name} must be {want}, got {value}")

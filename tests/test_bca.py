@@ -12,6 +12,7 @@ from coreglasso import (
     CoreScores,
     Hyperparams,
     InfeasibleError,
+    InputError,
     Precision,
     compute_weights,
     empirical_covariance,
@@ -73,6 +74,16 @@ class TestFit:
         # Both graph steps start certified and take no sweep, so nothing moves.
         np.testing.assert_array_equal(again.theta.values, first.theta.values)
         np.testing.assert_array_equal(again.c.values, first.c.values)
+
+    def test_raw_c_init_is_core_scores_of_the_budget(self, rng):
+        x, hyper = rng.standard_normal((6, 50)), Hyperparams(lam=0.1)
+        raw = fit(x, hyper=hyper, c_init=np.full(6, 0.125))
+        typed = fit(x, hyper=hyper, c_init=CoreScores(np.full(6, 0.125), budget=0.75))
+        np.testing.assert_array_equal(raw.theta.values, typed.theta.values)
+        np.testing.assert_array_equal(raw.c.values, typed.c.values)
+        assert raw.objective_trace == typed.objective_trace
+        with pytest.raises(InputError, match="^core scores sum to 0.6.*, budget is 0.75$"):
+            fit(x, hyper=hyper, c_init=np.full(6, 0.1))
 
     def test_cap_counts_the_certifying_graph_step(self):
         # fixture30 at lam=0.05 certifies after k = 2 score steps, with a

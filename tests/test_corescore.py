@@ -208,8 +208,6 @@ class TestScoresFromGraph:
             scores_from_graph(np.eye(3), M=0.5)
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(InputError, match="adjacency must be nonnegative"):
-            scores_from_graph(np.eye(3) - 1.0, M=0.5)
         with pytest.raises(InputError, match="abs_theta must be entrywise nonnegative"):
             core_score_lp(np.eye(3) - 1.0, M=0.5)
 

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib
 import math
 import pickle
+import re
 import types
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,11 +51,6 @@ class TestTypes:
             CoreScores(np.array([0.5, 0.6]), budget=1.0)
         with pytest.raises(InputError):
             CoreScores(np.array([1.5, 0.0]), budget=1.5)
-        with pytest.raises(InputError,
-                           match=r"core scores must be a finite 1-D vector, got shape \(2, 2\)"):
-            CoreScores(np.full((2, 2), 0.25), budget=1.0)
-        with pytest.raises(InputError, match=r"core scores must be non-empty, got shape \(0,\)"):
-            CoreScores(np.array([]), budget=0.0)
         # abs(sum - nan) > tol is False, so the sum test must fail closed.
         with pytest.raises(InputError, match="budget is nan"):
             CoreScores(np.array([0.5, 0.5]), budget=float("nan"))
@@ -83,36 +82,59 @@ class TestTypes:
 # The input rules of ``model``, each with its table here: a row per public
 # entry point that applies the rule.  A new entry point adds its row.
 
-_EMPTY = np.zeros((0, 0))
-_EMPTY_ROWS = {
-    "weighted_glasso": lambda: weighted_glasso(_EMPTY, _EMPTY, 0.1),
-    "kkt_residual": lambda: kkt_residual(_EMPTY, _EMPTY, _EMPTY, 0.1),
-    "scores_from_graph": lambda: scores_from_graph(_EMPTY),
-    "minres_scores": lambda: minres_scores(_EMPTY),
-    "kcore_scores": lambda: kcore_scores(_EMPTY),
-    "support": lambda: support(_EMPTY),
-    "support_recovery": lambda: support_recovery(_EMPTY, _EMPTY),
-    "order_by_scores": lambda: order_by_scores(_EMPTY, np.ones(0)),
-    "ideal_block_distance": lambda: ideal_block_distance(_EMPTY, t=1),
-    "compare_methods": lambda: compare_methods(_EMPTY, _EMPTY, {"m": np.ones(0)}),
-    "DistanceMatrix": lambda: DistanceMatrix(_EMPTY),
-    "Precision": lambda: Precision(_EMPTY),
-}
-
-
-@pytest.mark.parametrize("call", _EMPTY_ROWS.values(), ids=_EMPTY_ROWS)
-def test_empty_matrix_rejected(call):
-    # The matrix rule itself rejects a 0x0 matrix, for every entry point.
-    with pytest.raises(InputError, match=r"must be non-empty, got shape \(0, 0\)"):
-        call()
-
-
 _S6, _W6, _C6 = np.eye(6), 1.0 - np.eye(6), planted_scores(6)
 _X5 = np.random.default_rng(0).standard_normal((5, 40))
 
 
 def _sample6(d=10, **kwargs):
     return sample_instance(6, d, _C6, **{"lam": 10.0, **kwargs})
+
+
+# The matrix rule (_check_square_symmetric), keyed by each matrix argument of each
+# entry point: the argument is judged square, non-empty, finite and symmetric, under
+# the name that its message gives.
+_BAD_MATRICES = {
+    "empty": (np.zeros((0, 0)), "{} must be non-empty, got shape (0, 0)"),
+    "non-square": (np.ones((2, 3)), "{} must be square, got shape (2, 3)"),
+    "nan": (np.where(np.eye(3) > 0, np.nan, 0.0), "{} contains non-finite entries"),
+    "inf": (np.where(np.eye(3) > 0, np.inf, 0.0), "{} contains non-finite entries"),
+    "asymmetric": (np.roll(np.eye(3), 1, axis=1), "{} must be symmetric"),
+}
+_MATRIX_ROWS = {
+    "weighted_glasso_S": (lambda m: weighted_glasso(m, _W6, 0.1), "covariance"),
+    "weighted_glasso_W": (lambda m: weighted_glasso(_S6, m, 0.1), "weight matrix"),
+    "weighted_glasso_warm_start": (lambda m: weighted_glasso(_S6, _W6, 0.1, warm_start=m),
+                                   "precision matrix"),
+    "kkt_residual_theta": (lambda m: kkt_residual(m, _S6, _W6, 0.1), "precision matrix"),
+    "kkt_residual_S": (lambda m: kkt_residual(_S6, m, _W6, 0.1), "covariance"),
+    "kkt_residual_W": (lambda m: kkt_residual(_S6, _S6, m, 0.1), "weight matrix"),
+    "joint_objective_theta": (lambda m: joint_objective(m, np.zeros(6), _S6, Hyperparams(lam=0.1)),
+                              "precision matrix"),
+    "joint_objective_S": (lambda m: joint_objective(_S6, np.zeros(6), m, Hyperparams(lam=0.1)),
+                          "covariance"),
+    "core_score_lp": (core_score_lp, "abs_theta"),
+    "scores_from_graph": (scores_from_graph, "adjacency"),
+    "minres_scores": (minres_scores, "adjacency"),
+    "kcore_scores": (kcore_scores, "adjacency"),
+    "support": (support, "matrix"),
+    "support_recovery_truth": (lambda m: support_recovery(m, _S6), "truth"),
+    "support_recovery_estimate": (lambda m: support_recovery(_S6, m), "estimate"),
+    "order_by_scores": (lambda m: order_by_scores(m, np.ones(6)), "matrix"),
+    "ideal_block_distance": (lambda m: ideal_block_distance(m, t=1), "matrix"),
+    "compare_methods_truth": (lambda m: compare_methods(m, _S6, {"m": np.ones(6)}), "truth"),
+    "compare_methods_estimate": (lambda m: compare_methods(_S6, m, {"m": np.ones(6)}), "estimate"),
+    "DistanceMatrix": (DistanceMatrix, "distance matrix"),
+    "Precision": (Precision, "precision matrix"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_MATRICES)
+@pytest.mark.parametrize("call, name", _MATRIX_ROWS.values(), ids=_MATRIX_ROWS)
+def test_matrix_rule(call, name, case):
+    matrix, message = _BAD_MATRICES[case]
+    with pytest.raises(InputError) as info:
+        call(matrix)
+    assert str(info.value) == message.format(name)
 
 
 # The count rule; below 2 nodes the node rule comes first, so an n row has no 0 or bool.
@@ -147,7 +169,8 @@ def test_sizes_must_be_whole_numbers(call, name):
 
 # The positive and nonnegative rules, keyed "<entry point>-<setting>".  Unchecked,
 # lam=inf "converged" at a NaN objective, tol=nan ran to the cap, ridge=nan was
-# dropped, eps_w=nan gave a NaN mass cap and a bad e silently solved e = 0.
+# dropped, eps_w=nan gave a NaN mass cap and a bad e silently solved e = 0; a
+# value that is not a number raised numpy's TypeError.
 _RANGE_ROWS = {
     "Hyperparams-lam": (lambda v: Hyperparams(lam=v), "positive"),
     "Hyperparams-e": (lambda v: Hyperparams(lam=0.1, e=v), "nonnegative"),
@@ -171,7 +194,7 @@ _RANGE_ROWS = {
 @pytest.mark.parametrize("row", _RANGE_ROWS)
 def test_settings_must_be_finite_and_in_range(row):
     (call, rule), name = _RANGE_ROWS[row], row.partition("-")[2]
-    for value in (-0.5, np.nan, np.inf) + ((0.0,) if rule == "positive" else ()):
+    for value in (-0.5, np.nan, np.inf, "a") + ((0.0,) if rule == "positive" else ()):
         with pytest.raises(ConfigError, match=f"^{name} must be finite and {rule}, got"):
             call(value)
 
@@ -296,6 +319,57 @@ def test_graph_problem_rule(call, message):
     assert str(info.value) == message
 
 
+# The score rule (_scores), keyed "<caller>-<case>".  The rule checks the length
+# only where the caller gives it N, so the rows with no N have no wrong-length case.
+_BAD_SCORES = {
+    "nan": ([np.nan, 0.1, 0.1, 0.1, 0.1], "{} must be a finite 1-D vector, got shape (5,)"),
+    "inf": ([0.1, 0.1, np.inf, 0.1, 0.1], "{} must be a finite 1-D vector, got shape (5,)"),
+    "2-D": (np.full((1, 5), 0.125), "{} must be a finite 1-D vector, got shape (1, 5)"),
+    "empty": (np.zeros(0), "{} must be non-empty, got shape (0,)"),
+    "wrong-length": (np.full(4, 0.125), "4 {} for 5 nodes"),
+}
+_SCORE_ROWS = {
+    "CoreScores": (lambda c: CoreScores(c, budget=0.625), "core scores", None),
+    "compute_weights": (compute_weights, "core scores", None),
+    "joint_objective": (lambda c: joint_objective(np.eye(5), c, np.eye(5), Hyperparams(lam=0.1)),
+                        "core scores", None),
+    "fit": (lambda c: fit(_X5, hyper=Hyperparams(lam=0.1), c_init=c), "core scores", 5),
+    "fit_graph_given_scores": (lambda c: fit_graph_given_scores(_X5, c, hyper=Hyperparams(lam=0.1)),
+                               "core scores", 5),
+    "sample_instance": (lambda c: sample_instance(5, 10, c, lam=10.0), "c_true scores", 5),
+    "order_by_scores": (lambda c: order_by_scores(np.eye(5), c), "scores", 5),
+    "compare_methods": (lambda c: compare_methods(np.eye(5), np.eye(5), {"m": c}), "'m' scores", 5),
+    "group_compare": (lambda c: group_compare([c], [np.ones(5)], k=1), "group a scores", None),
+}
+
+
+@pytest.mark.parametrize("row, case", [(row, case) for row, (_, _, n) in _SCORE_ROWS.items()
+                                       for case in _BAD_SCORES if n or case != "wrong-length"])
+def test_score_rule(row, case):
+    (call, name, _), (scores, message) = _SCORE_ROWS[row], _BAD_SCORES[case]
+    with pytest.raises(InputError) as info:
+        call(np.array(scores))
+    assert str(info.value) == message.format(name)
+
+
+# The adjacency rule (_check_adjacency): a graph has a zero diagonal and no
+# negative entry.
+_BAD_ADJACENCY = {
+    "nonzero-diagonal": (np.eye(3), "adjacency must have a zero diagonal"),
+    "negative-entry": (np.eye(3) - 1.0, "adjacency must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ADJACENCY)
+@pytest.mark.parametrize("call", [scores_from_graph, minres_scores, kcore_scores],
+                         ids=lambda call: call.__name__)
+def test_adjacency_rule(call, case):
+    adjacency, message = _BAD_ADJACENCY[case]
+    with pytest.raises(InputError) as info:
+        call(adjacency)
+    assert str(info.value) == message
+
+
 def test_package_all_lists_every_public_name():
     public = {name for name, value in vars(coreglasso).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
@@ -318,6 +392,19 @@ def test_package_republishes_each_module_all():
     for module in published:
         for name in module.__all__:
             assert getattr(coreglasso, name) is getattr(module, name), name
+
+
+def test_cited_tests_exist():
+    # README and the package sources cite tests as tests/<file>.py::<name>[::<name>].
+    root = Path(__file__).resolve().parents[1]
+    cited = [(path.name, *ref) for path in [root / "README.md", *root.glob("src/coreglasso/*.py")]
+             for ref in re.findall(r"tests/(\w+)\.py::(\w+(?:::\w+)?)", path.read_text())]
+    assert cited
+    for source, module, names in cited:
+        scope = importlib.import_module(module)
+        for name in names.split("::"):
+            assert hasattr(scope, name), f"{source} cites tests/{module}.py::{names}"
+            scope = getattr(scope, name)
 
 
 @pytest.mark.parametrize("value", [

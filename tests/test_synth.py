@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from coreglasso import (
     ConfigError,
     CoreScores,
-    InputError,
     compute_weights,
     empirical_covariance,
 )
@@ -115,12 +114,9 @@ class TestSampleInstance:
                                       _drawn(9, c, 100.0, 5))
 
     def test_validation(self):
-        # The setting and node rules have their tables in test_model.py.
-        c = planted_scores(6)
-        with pytest.raises(InputError):
-            sample_instance(7, 10, c, lam=10.0)
+        # The setting, node and score rules have their tables in test_model.py.
         with pytest.raises(ConfigError, match="^keep must be at most 1"):
-            sample_instance(6, 10, c, lam=10.0, keep=1.5)
+            sample_instance(6, 10, planted_scores(6), lam=10.0, keep=1.5)
         for name in ("core_frac", "core_value"):
             with pytest.raises(ConfigError, match=f"^{name} must be at most 1"):
                 planted_scores(8, **{name: 1.5})
